@@ -18,9 +18,11 @@
 //! * `*_metrics.csv` — non-empty with the `kind,name,value` header;
 //! * `*_trace.json` — a Chrome-trace JSON with balanced `B`/`E` events
 //!   and per-thread monotone timestamps
-//!   (via [`rayfade_telemetry::trace::validate_chrome_trace`]); a trace
-//!   whose `otherData.dropped_spans` is positive draws a warning (the
-//!   file is structurally valid but incomplete).
+//!   (via [`rayfade_telemetry::trace::parse_chrome_trace`]), in which no
+//!   dynamic engine `dynamic/setup` span overlaps a `dynamic/replication`
+//!   span on its thread (set-up must close before the slot loop opens);
+//!   a trace whose `otherData.dropped_spans` is positive draws a warning
+//!   (the file is structurally valid but incomplete).
 //!
 //! All problems are reported, not just the first. With `--json` the
 //! report is a single machine-readable JSON document on stdout
@@ -33,6 +35,7 @@
 //! Usage: `telemetry_lint --telemetry <dir> [--json]`
 //! (falls back to `--out <dir>`, default `results`).
 
+use rayfade_telemetry::trace::{parse_chrome_trace, SpanRecord};
 use rayfade_telemetry::{JournalReader, Json};
 use std::path::{Path, PathBuf};
 
@@ -173,9 +176,9 @@ fn lint_trace(path: &Path, warnings: &mut Vec<Warning>) -> Vec<String> {
         Ok(text) => text,
         Err(e) => return vec![format!("unreadable: {e}")],
     };
-    let problems = match rayfade_telemetry::trace::validate_chrome_trace(&text) {
-        Ok(stats) if stats.spans == 0 => vec!["trace contains no spans".to_string()],
-        Ok(_) => Vec::new(),
+    let problems = match parse_chrome_trace(&text) {
+        Ok(records) if records.is_empty() => vec!["trace contains no spans".to_string()],
+        Ok(records) => setup_outside_replications(&records),
         Err(e) => vec![format!("invalid trace: {e}")],
     };
     let dropped = Json::parse(&text)
@@ -191,6 +194,27 @@ fn lint_trace(path: &Path, warnings: &mut Vec<Warning>) -> Vec<String> {
         });
     }
     problems
+}
+
+/// The engine's set-up span must close before its slot-loop span opens:
+/// on one thread, no `dynamic/setup` span may overlap a
+/// `dynamic/replication` span (spans on a thread nest or are disjoint, so
+/// any overlap is one inside the other).
+fn setup_outside_replications(records: &[SpanRecord]) -> Vec<String> {
+    let named = |name: &'static str| records.iter().filter(move |r| r.name == name);
+    named("dynamic/setup")
+        .filter_map(|s| {
+            named("dynamic/replication")
+                .find(|r| r.tid == s.tid && s.start_ns < r.end_ns && r.start_ns < s.end_ns)
+                .map(|r| {
+                    format!(
+                        "dynamic/setup span [{}, {}] ns overlaps dynamic/replication span \
+                         [{}, {}] ns on thread {}: set-up must close before the slot loop opens",
+                        s.start_ns, s.end_ns, r.start_ns, r.end_ns, s.tid
+                    )
+                })
+        })
+        .collect()
 }
 
 fn usage() -> ! {
@@ -334,5 +358,49 @@ fn main() {
     }
     if !problems.is_empty() {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn span(name: &str, tid: u64, start_ns: u64, end_ns: u64) -> SpanRecord {
+        SpanRecord {
+            name: name.to_string(),
+            tid,
+            start_ns,
+            end_ns,
+        }
+    }
+
+    #[test]
+    fn setup_before_each_replication_is_clean() {
+        let records = [
+            span("dynamic/setup", 1, 0, 10),
+            span("dynamic/replication", 1, 10, 50),
+            span("dynamic/setup", 1, 50, 60),
+            span("dynamic/replication", 1, 60, 90),
+            // Another thread's replication may overlap this set-up.
+            span("dynamic/replication", 2, 5, 55),
+        ];
+        assert!(setup_outside_replications(&records).is_empty());
+    }
+
+    #[test]
+    fn setup_inside_or_around_a_replication_is_flagged() {
+        let inside = [
+            span("dynamic/replication", 1, 0, 50),
+            span("dynamic/setup", 1, 5, 10),
+        ];
+        let around = [
+            span("dynamic/setup", 3, 0, 50),
+            span("dynamic/replication", 3, 20, 40),
+        ];
+        for records in [&inside[..], &around[..]] {
+            let problems = setup_outside_replications(records);
+            assert_eq!(problems.len(), 1, "{problems:?}");
+            assert!(problems[0].contains("set-up must close before the slot loop opens"));
+        }
     }
 }

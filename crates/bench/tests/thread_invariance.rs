@@ -10,8 +10,8 @@
 //! float reductions stay sequential.
 
 use rayfade_dynamic::{
-    ArrivalProcess, DynamicConfig, LambdaSweep, MonitorSpec, MonitoredStabilityReport, PolicyKind,
-    SlotModelKind, StabilityReport, SuccessModelKind,
+    ArrivalProcess, DynamicConfig, DynamicEngine, LambdaSweep, MonitorSpec,
+    MonitoredStabilityReport, PolicyKind, SlotModelKind, StabilityReport, SuccessModelKind,
 };
 use rayfade_geometry::PaperTopology;
 use rayfade_sinr::{PowerAssignment, SinrParams};
@@ -213,6 +213,41 @@ fn sparse_2k_csr_identical_at_pool_sizes_1_2_8() {
         assert_eq!(
             fresh, reference,
             "sparse CSR contents differ between pool size 1 and {threads}"
+        );
+    }
+}
+
+#[test]
+fn crossover_rayleigh_max_weight_replication_identical_at_pool_sizes_1_2_8() {
+    // The engine's scale path: at the sparse crossover, Rayleigh
+    // max-weight with analytic slots shares one geometry-built sparse
+    // cache, whose rows are computed in parallel on the pool.
+    let links = rayfade_core::SPARSE_CROSSOVER;
+    let engine = DynamicEngine::new(DynamicConfig {
+        links,
+        networks: 1,
+        slots: 40,
+        arrival: ArrivalProcess::Bernoulli { rate: 0.05 },
+        policy: PolicyKind::RayleighMaxWeight,
+        model: SuccessModelKind::Rayleigh,
+        slot_model: SlotModelKind::Analytic,
+        topology: PaperTopology {
+            links,
+            side: (links as f64).sqrt() * 1000.0,
+            min_length: 20.0,
+            max_length: 40.0,
+        },
+        params: SinrParams::new(4.0, 2.5, 4e-7),
+        sample_every: 4,
+        seed: 0x5ca1e,
+    });
+    let reference = at_pool_size(POOL_SIZES[0], || engine.run());
+    assert!(reference[0].throughput_per_link > 0.0);
+    for &threads in &POOL_SIZES[1..] {
+        assert_eq!(
+            at_pool_size(threads, || engine.run()),
+            reference,
+            "crossover replication differs between pool size 1 and {threads}"
         );
     }
 }

@@ -27,13 +27,14 @@ use rayfade_core::optimum::{compare_optima, rayleigh_optimum_exhaustive};
 use rayfade_core::success::{expected_successes_of_set, success_probability_of_set};
 use rayfade_core::transfer::transfer_set;
 use rayfade_core::{log_star, simulation_rounds, SuccessEvaluator};
+use rayfade_geometry::PaperTopology;
 use rayfade_sched::{
     CapacityAlgorithm, CapacityInstance, ExactCapacity, GreedyCapacity, RayleighGreedy,
     RayleighLocalSearch,
 };
 use rayfade_sinr::{
-    spectral_report, AccumMode, Affectance, AmortizedAccumulator, GainMatrix, SinrParams,
-    SparseInterferenceRatios, SparseSuccessAccumulator,
+    spectral_report, AccumMode, Affectance, AmortizedAccumulator, GainMatrix, PowerAssignment,
+    SinrParams, SparseInterferenceRatios, SparseSuccessAccumulator,
 };
 
 /// Absolute tolerance floor of every comparison (see module docs).
@@ -148,7 +149,9 @@ pub enum Check {
     /// ε-truncated `SparseInterferenceRatios` vs the dense evaluator and
     /// the oracle: at every `δ` the certified interval `[p·e^{−τᵢ}, p]`
     /// must contain both, and at `δ = 0` the sparse value must agree
-    /// outright.
+    /// outright. Covers the gain-built cache of the instance and the
+    /// geometry-built cache the dynamic engine uses at scale, on a
+    /// companion deployment of the instance's size.
     SparseTruncation,
     /// The churn-amortized quantized-log accumulator: a persistent
     /// instance driven through a random `set_prob`/`insert`/`remove`
@@ -670,23 +673,65 @@ fn spectral_radius(inst: &Instance) -> Result<(), String> {
 }
 
 fn sparse_truncation(inst: &Instance) -> Result<(), String> {
-    let n = inst.gain.len();
     let probs = inst.random_probs(20);
+    certify_sparse(&inst.gain, &inst.params, &probs, |delta| {
+        Ok(SparseInterferenceRatios::from_gain(
+            &inst.gain,
+            &inst.params,
+            delta,
+        ))
+    })?;
+    // The dynamic engine builds its scale cache straight from geometry.
+    // A companion deployment of the instance's size, seeded by the
+    // instance, must give the cache `from_gain` gives on its dense gains,
+    // and that cache must pass the same certificate.
+    let n = inst.gain.len();
+    if n == 0 {
+        return Ok(());
+    }
+    let net = PaperTopology {
+        links: n,
+        ..PaperTopology::figure1()
+    }
+    .generate(inst.seed);
+    let power = PowerAssignment::figure1_uniform();
+    let gain = GainMatrix::from_geometry(&net, &power, inst.params.alpha);
+    certify_sparse(&gain, &inst.params, &probs, |delta| {
+        let built = SparseInterferenceRatios::from_geometry(&net, &power, &inst.params, delta);
+        ensure!(
+            built == SparseInterferenceRatios::from_gain(&gain, &inst.params, delta),
+            "delta {delta}: from_geometry cache differs from from_gain on the \
+             companion deployment"
+        );
+        Ok(built)
+    })
+    .map_err(|e| format!("geometry-built cache: {e}"))
+}
+
+/// Checks the sparse caches `build(δ)` of `gain` against the dense
+/// evaluator and the oracle at `probs`, for `δ ∈ {0, 10⁻⁶, 0.5}`.
+fn certify_sparse(
+    gain: &GainMatrix,
+    params: &SinrParams,
+    probs: &[f64],
+    build: impl Fn(f64) -> Result<SparseInterferenceRatios, String>,
+) -> Result<(), String> {
+    let n = gain.len();
     let oracle_q: Vec<f64> = (0..n)
-        .map(|i| oracle::success_probability(&inst.gain, &inst.params, &probs, i))
+        .map(|i| oracle::success_probability(gain, params, probs, i))
         .collect();
-    let oracle_total = oracle::expected_successes(&inst.gain, &inst.params, &probs);
-    let mut dense = SuccessEvaluator::new(&inst.gain, &inst.params);
-    dense.set_probs(&probs);
+    let oracle_total = oracle::expected_successes(gain, params, probs);
+    let mut dense = SuccessEvaluator::new(gain, params);
+    dense.set_probs(probs);
     for delta in [0.0, 1e-6, 0.5] {
-        let sparse = SparseInterferenceRatios::from_gain(&inst.gain, &inst.params, delta);
+        let sparse = build(delta)?;
         ensure!(
             sparse.len() == n,
             "delta {delta}: sparse cache has {} links, instance has {n}",
             sparse.len()
         );
         let mut acc = SparseSuccessAccumulator::new(n);
-        acc.set_probs(&sparse, &probs);
+        acc.set_probs(&sparse, probs);
         for (i, &want) in oracle_q.iter().enumerate() {
             let (lo, hi) = acc.success_interval(&sparse, i);
             ensure!(

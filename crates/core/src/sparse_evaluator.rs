@@ -5,7 +5,10 @@
 //! [`SparseInterferenceRatios`] cache: construction is near-linear when built from geometry, one
 //! probability change costs O(deg) instead of O(n), and every query
 //! additionally exposes the certified error interval `[p·e^{−τᵢ}, p]`
-//! around the exact dense value (see `rayfade_sinr::sparse`).
+//! around the exact dense value (see `rayfade_sinr::sparse`). The cache is
+//! read-only after construction and held behind an [`Arc`], so several
+//! consumers of one instance (the dynamic engine's resolver and policy)
+//! share a single build.
 //!
 //! [`NetworkEvaluator`] is the routing facade: below
 //! [`SPARSE_CROSSOVER`] links it builds the exact dense evaluator
@@ -21,6 +24,7 @@ use rayfade_sinr::{
     SparseInterferenceRatios, SparseSuccessAccumulator,
 };
 use rayfade_telemetry::Telemetry;
+use std::sync::Arc;
 
 /// Instance size at which [`NetworkEvaluator`] switches from the exact
 /// dense evaluator to the certified sparse one. Below this the dense
@@ -39,7 +43,7 @@ pub const DEFAULT_SPARSE_DELTA: f64 = 1e-3;
 /// (see the [module docs](self)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SparseSuccessEvaluator {
-    ratios: SparseInterferenceRatios,
+    ratios: Arc<SparseInterferenceRatios>,
     acc: SparseSuccessAccumulator,
 }
 
@@ -67,6 +71,12 @@ impl SparseSuccessEvaluator {
 
     /// Wraps an existing sparse ratio cache.
     pub fn from_ratios(ratios: SparseInterferenceRatios) -> Self {
+        Self::from_shared(Arc::new(ratios))
+    }
+
+    /// Evaluates over a cache shared with other consumers; only the
+    /// accumulator is owned.
+    pub fn from_shared(ratios: Arc<SparseInterferenceRatios>) -> Self {
         let acc = SparseSuccessAccumulator::new(ratios.len());
         SparseSuccessEvaluator { ratios, acc }
     }

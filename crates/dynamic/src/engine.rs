@@ -18,6 +18,15 @@
 //! The result is bitwise deterministic for a fixed config regardless of
 //! rayon's thread count (replications are indexed, not work-stolen into
 //! the output order).
+//!
+//! Each replication builds its interference caches once, in a
+//! `dynamic/setup` span that closes before the `dynamic/replication`
+//! span of the slot loop opens. The dense gain matrix is built only when
+//! a consumer reads it: the Monte Carlo resolver, [`QueueMaxWeight`], or
+//! anything below [`SPARSE_CROSSOVER`] links. Above the crossover the
+//! analytic resolver and [`RayleighMaxWeight`] share one certified sparse
+//! cache, built straight from geometry — bit-equal to the cache each
+//! would build from the dense matrix.
 
 use crate::arrivals::{ArrivalProcess, ArrivalSample};
 use crate::policy::{
@@ -27,13 +36,19 @@ use crate::policy::{
 use crate::queue::QueueBank;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayfade_core::{mix_seed, mix_seed2, NetworkEvaluator, RayleighModel};
-use rayfade_geometry::PaperTopology;
-use rayfade_sinr::{GainMatrix, NonFadingModel, PowerAssignment, SinrParams, SuccessModel};
+use rayfade_core::{
+    mix_seed, mix_seed2, NetworkEvaluator, RayleighModel, SparseSuccessEvaluator,
+    DEFAULT_SPARSE_DELTA, SPARSE_CROSSOVER,
+};
+use rayfade_geometry::{Network, PaperTopology};
+use rayfade_sinr::{
+    GainMatrix, NonFadingModel, PowerAssignment, SinrParams, SparseInterferenceRatios, SuccessModel,
+};
 use rayfade_telemetry::trace::{self, SpanId};
 use rayfade_telemetry::{HealthMonitor, HealthReport, MonitorConfig, Telemetry};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Distinct stream tags for [`mix_seed2`] derivations.
@@ -178,9 +193,24 @@ impl AnalyticResolver {
     /// crossover, certified ε-truncated sparse above) with all links
     /// idle, and seeds the Bernoulli stream.
     pub fn new(gain: &GainMatrix, params: &SinrParams, seed: u64) -> Self {
+        Self::with_evaluator(NetworkEvaluator::amortized_from_gain(gain, params), seed)
+    }
+
+    /// The resolver over a prebuilt certified sparse cache, which other
+    /// consumers of the instance (a [`RayleighMaxWeight`] policy) may
+    /// share. Resolves exactly as [`new`](Self::new) does at or above
+    /// [`SPARSE_CROSSOVER`] when given the cache `new` would build.
+    pub(crate) fn from_sparse(ratios: Arc<SparseInterferenceRatios>, seed: u64) -> Self {
+        Self::with_evaluator(
+            NetworkEvaluator::Sparse(SparseSuccessEvaluator::from_shared(ratios)),
+            seed,
+        )
+    }
+
+    fn with_evaluator(evaluator: NetworkEvaluator, seed: u64) -> Self {
         AnalyticResolver {
-            evaluator: NetworkEvaluator::amortized_from_gain(gain, params),
-            current: vec![false; gain.len()],
+            current: vec![false; evaluator.len()],
+            evaluator,
             rng: StdRng::seed_from_u64(seed),
         }
     }
@@ -436,17 +466,22 @@ impl DynamicEngine {
         monitor: Option<&MonitorConfig>,
     ) -> (DynamicOutcome, Option<HealthReport>) {
         let cfg = &self.config;
+        let n = cfg.links;
+        // Span ids interned once per replication. The per-slot phase
+        // spans are *sampled* (only on `slot % sample_every == 0` slots):
+        // four always-on spans per ~µs-scale slot would blow the 5%
+        // overhead budget pinned by `telemetry_overhead`, while sampled
+        // spans amortize to nanoseconds per slot and still attribute time
+        // faithfully — every slot does the same work.
+        let tracer = tele.and_then(Telemetry::tracer);
+        let sp = |name: &str| tracer.map(|tr| tr.span_id(name));
+        let setup_span = trace::guard(tracer, sp("dynamic/setup"));
         let topology = PaperTopology {
-            links: cfg.links,
+            links: n,
             ..cfg.topology
         };
         let network = topology.generate(mix_seed2(cfg.seed, stream::TOPOLOGY, net));
-        let gain = GainMatrix::from_geometry(
-            &network,
-            &PowerAssignment::figure1_uniform(),
-            cfg.params.alpha,
-        );
-        let n = cfg.links;
+        let caches = Caches::build(cfg, &network);
 
         // Arrival streams depend on (seed, net, λ) only — never on the
         // policy or model — so every cell at this λ sees identical
@@ -468,9 +503,10 @@ impl DynamicEngine {
             label_tag(cfg.policy.label()),
         );
         let mut policy_rng = StdRng::seed_from_u64(policy_seed);
-        let mut policy = build_policy(cfg, &gain);
+        let mut policy = build_policy(cfg, &caches);
 
-        let mut resolver = build_resolver(cfg, &gain, net);
+        let mut resolver = build_resolver(cfg, &caches, net);
+        drop(caches);
         // Queried once per replication: when the policy never reads idle
         // links' counterfactual indicators, the resolver may scope its
         // work to the transmitting links (the analytic path skips their
@@ -492,20 +528,13 @@ impl DynamicEngine {
         let policy_seconds = tele.map(|t| t.registry().histogram("rayfade_dynamic_policy_seconds"));
         let sampled_backlog =
             tele.map(|t| t.registry().histogram("rayfade_dynamic_sampled_backlog"));
-        // Span ids interned once per replication. The per-slot phase
-        // spans are *sampled* (only on `slot % sample_every == 0` slots):
-        // four always-on spans per ~µs-scale slot would blow the 5%
-        // overhead budget pinned by `telemetry_overhead`, while sampled
-        // spans amortize to nanoseconds per slot and still attribute time
-        // faithfully — every slot does the same work.
-        let tracer = tele.and_then(Telemetry::tracer);
-        let sp = |name: &str| tracer.map(|tr| tr.span_id(name));
-        let span_replication = sp("dynamic/replication");
         let span_arrivals = sp("dynamic/arrivals");
         let span_policy = sp("dynamic/policy");
         let span_transmission = sp("dynamic/transmission");
         let span_departures = sp("dynamic/departures");
-        let _replication_span = trace::guard(tracer, span_replication);
+        // Set-up ends here: the slot loop's span must not contain it.
+        drop(setup_span);
+        let _replication_span = trace::guard(tracer, sp("dynamic/replication"));
         let mut transmissions: u64 = 0;
         let mut deliveries: u64 = 0;
         // The monitor observes simulated state only (it draws no
@@ -740,12 +769,54 @@ fn label_tag(label: &str) -> u64 {
     h
 }
 
-fn build_policy(cfg: &DynamicConfig, gain: &GainMatrix) -> Box<dyn OnlinePolicy> {
+/// The interference caches of one replication, each built once and only
+/// if a consumer reads it (see the [module docs](self)).
+struct Caches {
+    /// Dense gains, for the Monte Carlo resolver, [`QueueMaxWeight`] and
+    /// every consumer below [`SPARSE_CROSSOVER`].
+    gain: Option<GainMatrix>,
+    /// The certified sparse cache the analytic resolver and
+    /// [`RayleighMaxWeight`] share at or above [`SPARSE_CROSSOVER`].
+    sparse: Option<Arc<SparseInterferenceRatios>>,
+}
+
+impl Caches {
+    fn build(cfg: &DynamicConfig, network: &Network) -> Self {
+        let power = PowerAssignment::figure1_uniform();
+        let large = cfg.links >= SPARSE_CROSSOVER;
+        let analytic = cfg.slot_model == SlotModelKind::Analytic;
+        let rayleigh_policy = cfg.policy == PolicyKind::RayleighMaxWeight;
+        let dense = cfg.slot_model == SlotModelKind::MonteCarlo
+            || cfg.policy == PolicyKind::MaxWeight
+            || (!large && (analytic || rayleigh_policy));
+        let gain = dense.then(|| GainMatrix::from_geometry(network, &power, cfg.params.alpha));
+        let sparse = (large && (analytic || rayleigh_policy)).then(|| {
+            Arc::new(SparseInterferenceRatios::from_geometry(
+                network,
+                &power,
+                &cfg.params,
+                DEFAULT_SPARSE_DELTA,
+            ))
+        });
+        Caches { gain, sparse }
+    }
+
+    fn gain(&self) -> &GainMatrix {
+        self.gain
+            .as_ref()
+            .expect("the dense gains are built for every dense consumer")
+    }
+}
+
+fn build_policy(cfg: &DynamicConfig, caches: &Caches) -> Box<dyn OnlinePolicy> {
     match cfg.policy {
-        PolicyKind::MaxWeight => Box::new(QueueMaxWeight::new(gain.clone(), cfg.params)),
+        PolicyKind::MaxWeight => Box::new(QueueMaxWeight::new(caches.gain().clone(), cfg.params)),
         PolicyKind::Aloha => Box::new(QueueAloha::default_inverse(cfg.links)),
         PolicyKind::Regret => Box::new(RegretPolicy::new(cfg.links)),
-        PolicyKind::RayleighMaxWeight => Box::new(RayleighMaxWeight::new(gain.clone(), cfg.params)),
+        PolicyKind::RayleighMaxWeight => Box::new(match &caches.sparse {
+            Some(ratios) => RayleighMaxWeight::from_sparse(Arc::clone(ratios)),
+            None => RayleighMaxWeight::new(caches.gain().clone(), cfg.params),
+        }),
     }
 }
 
@@ -763,18 +834,18 @@ fn build_model(cfg: &DynamicConfig, gain: &GainMatrix, net: u64) -> Box<dyn Succ
 /// Both resolvers draw their channel randomness from the same
 /// `(seed, FADING, net)` stream root, so a mode switch changes only *how*
 /// the stream is consumed, never which stream it is.
-fn build_resolver(cfg: &DynamicConfig, gain: &GainMatrix, net: u64) -> Box<dyn SlotResolver> {
+fn build_resolver(cfg: &DynamicConfig, caches: &Caches, net: u64) -> Box<dyn SlotResolver> {
+    let seed = mix_seed2(cfg.seed, stream::FADING, net);
     match cfg.slot_model {
         SlotModelKind::MonteCarlo => Box::new(MonteCarloResolver::new(
-            build_model(cfg, gain, net),
+            build_model(cfg, caches.gain(), net),
             cfg.params.beta,
         )),
         // `DynamicEngine::new` already rejected non-Rayleigh configs.
-        SlotModelKind::Analytic => Box::new(AnalyticResolver::new(
-            gain,
-            &cfg.params,
-            mix_seed2(cfg.seed, stream::FADING, net),
-        )),
+        SlotModelKind::Analytic => Box::new(match &caches.sparse {
+            Some(ratios) => AnalyticResolver::from_sparse(Arc::clone(ratios), seed),
+            None => AnalyticResolver::new(caches.gain(), &cfg.params, seed),
+        }),
     }
 }
 
@@ -943,6 +1014,18 @@ mod tests {
         assert_eq!(trace.dropped, 0);
         let count = |name: &str| trace.records.iter().filter(|r| r.name == name).count();
         assert_eq!(count("dynamic/replication"), 2, "one span per replication");
+        assert_eq!(count("dynamic/setup"), 2, "one set-up span per replication");
+        // Set-up stays outside the slot loop's span: each replication is
+        // preceded by its own set-up on the same thread, and no set-up
+        // overlaps a replication on that thread (replications on other
+        // threads run concurrently).
+        let spans = |name: &'static str| trace.records.iter().filter(move |r| r.name == name);
+        for rep in spans("dynamic/replication") {
+            assert!(spans("dynamic/setup").any(|s| s.tid == rep.tid && s.end_ns <= rep.start_ns));
+            for setup in spans("dynamic/setup").filter(|s| s.tid == rep.tid) {
+                assert!(setup.end_ns <= rep.start_ns || setup.start_ns >= rep.end_ns);
+            }
+        }
         // 400 slots at sample_every=50 → 8 sampled slots per replication.
         for phase in [
             "dynamic/arrivals",

@@ -34,6 +34,7 @@ use rayfade_sinr::{
     Affectance, GainMatrix, InterferenceRatios, SinrParams, SparseInterferenceRatios,
 };
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Post-slot feedback handed to [`OnlinePolicy::observe`].
 ///
@@ -236,9 +237,11 @@ impl OnlinePolicy for QueueMaxWeight {
 /// Instances at or above [`rayfade_core::SPARSE_CROSSOVER`] links build
 /// the ε-truncated [`SparseInterferenceRatios`] cache (with
 /// [`rayfade_core::DEFAULT_SPARSE_DELTA`]) instead of the dense O(n²)
-/// one, and every slot runs [`RayleighGreedy::select_sparse_stats`] —
-/// same greedy rule, certified objective, O(deg) candidate scoring.
-/// Below the crossover the dense path is bit-identical to the historical
+/// one, keep no dense matrix, and every slot runs
+/// [`RayleighGreedy::select_sparse_stats`] — same greedy rule, certified
+/// objective, incremental O(deg) candidate scoring. The engine hands the
+/// policy that cache prebuilt, shared with its analytic resolver. Below
+/// the crossover the dense path is bit-identical to the historical
 /// behaviour.
 ///
 /// Unlike [`QueueMaxWeight`] the chosen set need not be feasible in the
@@ -247,19 +250,22 @@ impl OnlinePolicy for QueueMaxWeight {
 /// still drain queues faster than a small "safe" set.
 #[derive(Debug, Clone)]
 pub struct RayleighMaxWeight {
-    gain: GainMatrix,
-    params: SinrParams,
     ratios: RatioCache,
     selector: RayleighGreedy,
     stats: SelectionStats,
 }
 
 /// Dense or ε-truncated sparse Theorem 1 ratio cache, chosen once at
-/// policy construction by instance size.
+/// policy construction by instance size. Only the dense selector reads
+/// the gain matrix.
 #[derive(Debug, Clone)]
 enum RatioCache {
-    Dense(InterferenceRatios),
-    Sparse(SparseInterferenceRatios),
+    Dense {
+        gain: GainMatrix,
+        params: SinrParams,
+        ratios: InterferenceRatios,
+    },
+    Sparse(Arc<SparseInterferenceRatios>),
 }
 
 impl RayleighMaxWeight {
@@ -267,18 +273,32 @@ impl RayleighMaxWeight {
     /// Theorem 1 ratio cache once (dense below
     /// [`rayfade_core::SPARSE_CROSSOVER`] links, sparse at or above).
     pub fn new(gain: GainMatrix, params: SinrParams) -> Self {
-        let ratios = if gain.len() < rayfade_core::SPARSE_CROSSOVER {
-            RatioCache::Dense(InterferenceRatios::new(&gain, &params))
+        if gain.len() < rayfade_core::SPARSE_CROSSOVER {
+            let ratios = InterferenceRatios::new(&gain, &params);
+            Self::with_cache(RatioCache::Dense {
+                gain,
+                params,
+                ratios,
+            })
         } else {
-            RatioCache::Sparse(SparseInterferenceRatios::from_gain(
+            Self::from_sparse(Arc::new(SparseInterferenceRatios::from_gain(
                 &gain,
                 &params,
                 rayfade_core::DEFAULT_SPARSE_DELTA,
-            ))
-        };
+            )))
+        }
+    }
+
+    /// Rayleigh max-weight over a prebuilt sparse cache, which other
+    /// consumers of the instance (the engine's analytic resolver) may
+    /// share. Selects exactly as [`new`](Self::new) does at or above the
+    /// crossover when given the cache `new` would build.
+    pub(crate) fn from_sparse(ratios: Arc<SparseInterferenceRatios>) -> Self {
+        Self::with_cache(RatioCache::Sparse(ratios))
+    }
+
+    fn with_cache(ratios: RatioCache) -> Self {
         RayleighMaxWeight {
-            gain,
-            params,
             ratios,
             selector: RayleighGreedy::new(),
             stats: SelectionStats::default(),
@@ -289,6 +309,13 @@ impl RayleighMaxWeight {
     pub fn is_sparse(&self) -> bool {
         matches!(self.ratios, RatioCache::Sparse(_))
     }
+
+    fn len(&self) -> usize {
+        match &self.ratios {
+            RatioCache::Dense { gain, .. } => gain.len(),
+            RatioCache::Sparse(ratios) => ratios.len(),
+        }
+    }
 }
 
 impl RayleighMaxWeight {
@@ -297,15 +324,19 @@ impl RayleighMaxWeight {
         backlogs: &[u64],
         tracer: Option<&rayfade_telemetry::trace::Tracer>,
     ) -> Vec<bool> {
-        let n = self.gain.len();
+        let n = self.len();
         debug_assert_eq!(backlogs.len(), n);
         let weights: Vec<f64> = backlogs.iter().map(|&b| b as f64).collect();
         // RayleighGreedy requires strictly positive weight to activate a
         // link, so empty queues are never selected.
         let (set, stats) = match &self.ratios {
-            RatioCache::Dense(ratios) => self.selector.select_with_ratios_stats_traced(
+            RatioCache::Dense {
+                gain,
+                params,
                 ratios,
-                &CapacityInstance::weighted(&self.gain, &self.params, &weights),
+            } => self.selector.select_with_ratios_stats_traced(
+                ratios,
+                &CapacityInstance::weighted(gain, params, &weights),
                 tracer,
             ),
             RatioCache::Sparse(ratios) => {

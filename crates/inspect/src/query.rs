@@ -363,10 +363,12 @@ mod tests {
     use std::fs;
 
     fn write_journal(lines: &[&str]) -> std::path::PathBuf {
+        // One file per call: tests run in parallel within the process.
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
         let path = std::env::temp_dir().join(format!(
             "rayfade_query_test_{}_{}.jsonl",
             std::process::id(),
-            lines.len()
+            NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
         ));
         fs::write(&path, lines.join("\n")).unwrap();
         path

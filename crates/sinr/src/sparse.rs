@@ -37,15 +37,24 @@
 //! path ([`sparse_spectral_report`]) recover their matrices from the
 //! stored ratios without the dense gains.
 //!
-//! The geometric builder that avoids materializing any dense structure
-//! lives in the `rayfade-spatial` crate; [`SparseInterferenceRatios::from_gain`]
-//! is the dense-input constructor used for validation and for callers that
-//! already paid for a [`GainMatrix`].
+//! # Builders
+//!
+//! [`SparseInterferenceRatios::from_gain`] truncates the rows of a dense
+//! [`GainMatrix`]; [`SparseInterferenceRatios::from_geometry`] computes the
+//! same rows straight from geometry, one receiver at a time on the pool,
+//! and never holds more than one dense row per worker. Both run every row
+//! through one kernel, so their caches are equal bit for bit. The
+//! ring-sweep builder in the `rayfade-spatial` crate examines only the
+//! senders near each receiver and bounds the rest, which is faster but
+//! yields a (certified) different truncation.
 
-use crate::gain::GainMatrix;
+use crate::gain::{geometry_row, GainMatrix};
 use crate::params::SinrParams;
+use crate::power::PowerAssignment;
 use crate::ratio::kahan_sum;
 use crate::spectral::SpectralReport;
+use rayfade_geometry::LinkGeometry;
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Truncation budget `τ = −ln(1 − δ)` for a relative error bound `δ`.
@@ -63,45 +72,126 @@ pub fn truncation_budget(delta: f64) -> f64 {
 /// Greedily drops the smallest-`ρ` entries of one receiver row while the
 /// exact dropped log-mass `Σ −ln(1 − ρ)` stays within `budget`.
 ///
-/// `entries` are `(sender, ρ)` pairs; retained entries keep their relative
-/// order (callers pass column-sorted rows and get column-sorted rows
-/// back). Ties on `ρ` are broken by the sender index, so the result is
-/// deterministic. Returns the exact dropped log-mass (0 when
-/// `budget ≤ 0`, which keeps every entry).
+/// `entries` are `(sender, ρ)` pairs with distinct senders and `ρ > 0`;
+/// retained entries keep their relative order (callers pass
+/// column-sorted rows and get column-sorted rows back). Ties on `ρ` are
+/// broken by the sender index, so the result is deterministic. Returns
+/// the exact dropped log-mass (0 when `budget ≤ 0`, which keeps every
+/// entry).
 pub fn truncate_smallest(entries: &mut Vec<(u32, f64)>, budget: f64) -> f64 {
+    truncate_smallest_with(entries, budget, &mut Vec::new())
+}
+
+/// [`truncate_smallest`] with a caller-owned sort buffer, reused across
+/// the rows of a build.
+///
+/// The drop order is `(ρ, sender)` ascending. Since `ρ > 0`, the IEEE bit
+/// patterns of the ratios order exactly like `total_cmp`, and tied ratios
+/// carry equal masses, so sorting the bare bits already fixes the dropped
+/// mass; the sender tie-break only decides which of the ratios tied with
+/// the first kept one go. Sorting bare `u64` bits rather than packed
+/// `(ρ bits, sender)` `u128` keys halves the sort, the largest cost of a
+/// sparse build after the gains themselves.
+fn truncate_smallest_with(entries: &mut Vec<(u32, f64)>, budget: f64, bits: &mut Vec<u64>) -> f64 {
     if budget <= 0.0 || entries.is_empty() {
         return 0.0;
     }
-    let mut order: Vec<usize> = (0..entries.len()).collect();
-    order.sort_by(|&a, &b| {
-        entries[a]
-            .1
-            .total_cmp(&entries[b].1)
-            .then(entries[a].0.cmp(&entries[b].0))
-    });
+    debug_assert!(entries.iter().all(|e| e.1 > 0.0), "ratios must be positive");
+    bits.clear();
+    bits.extend(entries.iter().map(|e| e.1.to_bits()));
+    bits.sort_unstable();
     let mut dropped_mass = 0.0f64;
-    let mut drop = vec![false; entries.len()];
-    for &k in &order {
-        let rho = entries[k].1;
+    for (k, &cut) in bits.iter().enumerate() {
         // −ln(1 − ρ); +∞ when ρ rounds to 1 (such a factor is never
         // droppable).
-        let mass = -(-rho).ln_1p();
+        let mass = -(-f64::from_bits(cut)).ln_1p();
         let tentative = dropped_mass + mass;
-        if tentative <= budget {
-            dropped_mass = tentative;
-            drop[k] = true;
-        } else {
-            // Entries are visited smallest-first: nothing later fits.
-            break;
+        if tentative > budget {
+            // Entries are visited smallest-first: nothing later fits. Of
+            // the ratios equal to `cut`, the `tied` lowest senders went.
+            let tied = bits[..k].iter().rev().take_while(|&&b| b == cut).count();
+            let mut senders: Vec<u32> = entries
+                .iter()
+                .filter(|e| e.1.to_bits() == cut)
+                .map(|e| e.0)
+                .collect();
+            senders.sort_unstable();
+            let first_kept = (cut, senders[tied]);
+            entries.retain(|&(j, rho)| (rho.to_bits(), j) >= first_kept);
+            return dropped_mass;
+        }
+        dropped_mass = tentative;
+    }
+    entries.clear();
+    dropped_mass
+}
+
+/// Rows handed to one pool task by the row-parallel builders: enough to
+/// amortize the task's scratch buffers, few enough to balance the load.
+const ROWS_PER_TASK: usize = 64;
+
+/// One truncated receiver row.
+struct TruncatedRow {
+    /// Retained `(sender, ρ)` pairs, column-sorted.
+    entries: Vec<(u32, f64)>,
+    noise: f64,
+    signal: f64,
+    tau: f64,
+}
+
+/// Per-task scratch of the row kernel: one dense gain row, its ratios
+/// and their sort buffer.
+struct RowScratch {
+    gains: Vec<f64>,
+    entries: Vec<(u32, f64)>,
+    bits: Vec<u64>,
+}
+
+impl RowScratch {
+    fn new(n: usize) -> Self {
+        RowScratch {
+            gains: vec![0.0; n],
+            entries: Vec::new(),
+            bits: Vec::new(),
         }
     }
-    let mut k = 0;
-    entries.retain(|_| {
-        let keep = !drop[k];
-        k += 1;
-        keep
-    });
-    dropped_mass
+
+    /// The row kernel: turns receiver `i`'s dense gains (`self.gains`,
+    /// indexed by sender) into its truncated ratio row, with the exact
+    /// arithmetic of the dense cache.
+    fn truncate(&mut self, i: usize, params: &SinrParams, budget: f64) -> TruncatedRow {
+        let beta = params.beta;
+        let s_ii = self.gains[i];
+        if s_ii == 0.0 {
+            // Dead receiver: empty row, zero noise factor — mirrors the
+            // dense cache's all-zero row.
+            return TruncatedRow {
+                entries: Vec::new(),
+                noise: 0.0,
+                signal: s_ii,
+                tau: 0.0,
+            };
+        }
+        self.entries.clear();
+        for (j, &s_ji) in self.gains.iter().enumerate() {
+            if j == i || s_ji == 0.0 {
+                continue;
+            }
+            // Same guarded form as the dense cache: s_ii/s_ji may
+            // overflow to +inf for tiny s_ji, giving ratio 0.
+            let r = beta / (beta + s_ii / s_ji);
+            if r > 0.0 {
+                self.entries.push((j as u32, r));
+            }
+        }
+        let tau = truncate_smallest_with(&mut self.entries, budget, &mut self.bits);
+        TruncatedRow {
+            entries: self.entries.clone(),
+            noise: (-beta * params.noise / s_ii).exp(),
+            signal: s_ii,
+            tau,
+        }
+    }
 }
 
 /// ε-truncated sparse mirror of
@@ -247,57 +337,85 @@ impl SparseInterferenceRatios {
     /// Builds the truncated cache from a dense gain matrix: per receiver
     /// the full ratio row is computed with the exact dense arithmetic,
     /// then the smallest entries are greedily dropped while the exact
-    /// dropped log-mass stays within `τ = −ln(1 − δ)`.
+    /// dropped log-mass stays within `τ = −ln(1 − δ)`. Rows run in
+    /// parallel on the pool; the result does not depend on its size.
     ///
     /// `delta = 0` retains every nonzero ratio (bit-equal to the dense
-    /// cache). O(n²) like the dense constructor — the point of this entry
-    /// is the downstream O(nnz) evaluation, plus validation against the
-    /// dense path; truly large instances should use the geometric builder
-    /// in `rayfade-spatial`, which never materializes a dense row.
+    /// cache). O(n² log n) — the point of this entry is the downstream
+    /// O(nnz) evaluation, plus validation against the dense path.
+    /// [`from_geometry`](Self::from_geometry) builds the same cache
+    /// without the dense matrix.
     ///
     /// # Panics
     /// If `delta` is outside `[0, 1)`.
     pub fn from_gain(gain: &GainMatrix, params: &SinrParams, delta: f64) -> Self {
+        Self::from_dense_rows(gain.len(), params, delta, |i, row| {
+            row.copy_from_slice(gain.at_receiver(i));
+        })
+    }
+
+    /// Builds the truncated cache straight from geometry:
+    /// `from_geometry(g, power, params, δ)` equals
+    /// `from_gain(&GainMatrix::from_geometry(g, power, params.alpha), params, δ)`
+    /// bit for bit, but each receiver's dense gain row is computed on the
+    /// fly, so memory stays O(nnz + n · threads) instead of O(n²). Same
+    /// O(n² log n) time, with rows in parallel on the pool.
+    ///
+    /// # Panics
+    /// If `delta` is outside `[0, 1)`, or any cross distance is zero or
+    /// any gain non-finite (as in [`GainMatrix::from_geometry`]).
+    pub fn from_geometry<G: LinkGeometry + Sync>(
+        geometry: &G,
+        power: &PowerAssignment,
+        params: &SinrParams,
+        delta: f64,
+    ) -> Self {
+        let powers = power.powers(geometry, params.alpha);
+        Self::from_dense_rows(geometry.len(), params, delta, |i, row| {
+            geometry_row(geometry, &powers, params.alpha, i, row);
+        })
+    }
+
+    /// The shared row-parallel driver: `fill_row(i, row)` writes receiver
+    /// `i`'s dense gains `S̄_{·,i}`, the row kernel truncates them, and the
+    /// rows are assembled in receiver order.
+    fn from_dense_rows(
+        n: usize,
+        params: &SinrParams,
+        delta: f64,
+        fill_row: impl Fn(usize, &mut [f64]) + Sync,
+    ) -> Self {
         let budget = truncation_budget(delta);
-        let n = gain.len();
-        let beta = params.beta;
-        let mut row_ptr = vec![0usize; n + 1];
-        let mut col = Vec::new();
-        let mut rho = Vec::new();
-        let mut noise = vec![0.0; n];
-        let mut signal = vec![0.0; n];
-        let mut tau = vec![0.0; n];
-        let mut entries: Vec<(u32, f64)> = Vec::new();
-        for i in 0..n {
-            let s_ii = gain.signal(i);
-            signal[i] = s_ii;
-            if s_ii == 0.0 {
-                // Dead receiver: empty row, zero noise factor — mirrors
-                // the dense cache's all-zero row.
-                row_ptr[i + 1] = col.len();
-                continue;
-            }
-            noise[i] = (-beta * params.noise / s_ii).exp();
-            entries.clear();
-            for (j, &s_ji) in gain.at_receiver(i).iter().enumerate() {
-                if j == i || s_ji == 0.0 {
-                    continue;
-                }
-                // Same guarded form as the dense cache: s_ii/s_ji may
-                // overflow to +inf for tiny s_ji, giving ratio 0.
-                let r = beta / (beta + s_ii / s_ji);
-                if r > 0.0 {
-                    entries.push((j as u32, r));
-                }
-            }
-            tau[i] = truncate_smallest(&mut entries, budget);
-            for &(j, r) in &entries {
+        let tasks: Vec<usize> = (0..n).step_by(ROWS_PER_TASK).collect();
+        let rows: Vec<Vec<TruncatedRow>> = tasks
+            .into_par_iter()
+            .map(|start| {
+                let mut scratch = RowScratch::new(n);
+                (start..n.min(start + ROWS_PER_TASK))
+                    .map(|i| {
+                        fill_row(i, &mut scratch.gains);
+                        scratch.truncate(i, params, budget)
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut row_ptr = Vec::with_capacity(n + 1);
+        row_ptr.push(0);
+        let (mut col, mut rho) = (Vec::new(), Vec::new());
+        let mut noise = Vec::with_capacity(n);
+        let mut signal = Vec::with_capacity(n);
+        let mut tau = Vec::with_capacity(n);
+        for row in rows.into_iter().flatten() {
+            for (j, r) in row.entries {
                 col.push(j);
                 rho.push(r);
             }
-            row_ptr[i + 1] = col.len();
+            row_ptr.push(col.len());
+            noise.push(row.noise);
+            signal.push(row.signal);
+            tau.push(row.tau);
         }
-        Self::from_raw_parts(beta, delta, row_ptr, col, rho, noise, signal, tau)
+        Self::from_raw_parts(params.beta, delta, row_ptr, col, rho, noise, signal, tau)
     }
 
     /// Number of links.
@@ -1019,6 +1137,95 @@ mod tests {
             vec![0, 2, 3]
         );
         assert!((dropped - (-(-0.01f64).ln_1p())).abs() < 1e-15);
+    }
+
+    /// The index-permutation implementation `truncate_smallest` replaced,
+    /// kept as the reference its bit sort must reproduce.
+    fn truncate_smallest_reference(entries: &mut Vec<(u32, f64)>, budget: f64) -> f64 {
+        if budget <= 0.0 || entries.is_empty() {
+            return 0.0;
+        }
+        let mut order: Vec<usize> = (0..entries.len()).collect();
+        order.sort_by(|&a, &b| {
+            entries[a]
+                .1
+                .total_cmp(&entries[b].1)
+                .then(entries[a].0.cmp(&entries[b].0))
+        });
+        let mut dropped_mass = 0.0f64;
+        let mut drop = vec![false; entries.len()];
+        for &k in &order {
+            let mass = -(-entries[k].1).ln_1p();
+            let tentative = dropped_mass + mass;
+            if tentative <= budget {
+                dropped_mass = tentative;
+                drop[k] = true;
+            } else {
+                break;
+            }
+        }
+        let mut k = 0;
+        entries.retain(|_| {
+            let keep = !drop[k];
+            k += 1;
+            keep
+        });
+        dropped_mass
+    }
+
+    proptest::proptest! {
+        /// The bit sort keeps the same entries in the same order
+        /// and returns the same dropped mass, bit for bit, as the
+        /// reference — ties on ρ (drawn from a small palette), ρ = 1 and
+        /// shuffled sender orders included.
+        #[test]
+        fn truncate_smallest_matches_reference(
+            picks in proptest::collection::vec((0u32..6, 0.0f64..1.0, 0u32..1000), 0..60),
+            budget_exp in -8.0f64..1.0,
+        ) {
+            let palette = [1e-9, 1e-3, 0.01, 0.25, 1.0];
+            let mut seen = std::collections::BTreeSet::new();
+            let entries: Vec<(u32, f64)> = picks
+                .iter()
+                .filter(|p| seen.insert(p.2))
+                .map(|&(k, u, j)| {
+                    let rho = palette.get(k as usize).copied().unwrap_or(u.max(1e-300));
+                    (j, rho)
+                })
+                .collect();
+            let budget = 10f64.powf(budget_exp);
+            let (mut fast, mut slow) = (entries.clone(), entries);
+            let fast_mass = truncate_smallest(&mut fast, budget);
+            let slow_mass = truncate_smallest_reference(&mut slow, budget);
+            proptest::prop_assert_eq!(fast_mass.to_bits(), slow_mass.to_bits());
+            proptest::prop_assert_eq!(fast, slow);
+        }
+    }
+
+    #[test]
+    fn from_geometry_equals_from_gain_of_the_dense_matrix() {
+        use rayfade_geometry::PaperTopology;
+        let net = PaperTopology {
+            links: 150,
+            side: 600.0,
+            min_length: 10.0,
+            max_length: 30.0,
+        }
+        .generate(11);
+        for power in [
+            PowerAssignment::figure1_uniform(),
+            PowerAssignment::figure1_square_root(),
+        ] {
+            for (alpha, delta) in [(2.2, 0.0), (4.0, 1e-3), (3.0, 0.2)] {
+                let p = SinrParams::new(alpha, 1.5, 1e-3);
+                let dense = GainMatrix::from_geometry(&net, &power, alpha);
+                assert_eq!(
+                    SparseInterferenceRatios::from_geometry(&net, &power, &p, delta),
+                    SparseInterferenceRatios::from_gain(&dense, &p, delta),
+                    "alpha {alpha}, delta {delta}"
+                );
+            }
+        }
     }
 
     #[test]
