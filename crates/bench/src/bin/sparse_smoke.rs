@@ -26,9 +26,10 @@ use rayfade_sinr::{PowerAssignment, SinrParams, SparseSuccessAccumulator};
 use rayfade_spatial::build_sparse_ratios_stats;
 use std::time::Instant;
 
-/// Peak-RSS ceiling for the full run: 8 GB, a ~20× headroom over the
-/// expected footprint and ~20× below the dense mirror's requirement.
-const RSS_CEILING_BYTES: u64 = 8 * 1024 * 1024 * 1024;
+/// Peak-RSS ceiling for the full run: 256 MB, a few times the measured
+/// footprint (the build holds only the CSR and one candidate row per
+/// task) and ~300× below the dense mirror's requirement.
+const RSS_CEILING_BYTES: u64 = 256 * 1024 * 1024;
 
 /// Full-size link count (quick mode divides by 10).
 const LINKS: usize = 100_000;

@@ -7,7 +7,10 @@
 //!   the monotonically increasing `seq` and whose second is a non-empty
 //!   `kind` string, and the first record is the `schema` header carrying
 //!   a `schema_version`; every `health` event must carry non-empty
-//!   `detector` and `verdict` strings (schema v2 monitor records).
+//!   `detector` and `verdict` strings (schema v2 monitor records), and
+//!   every spatial-builder `sparse_ratios` event non-negative integer
+//!   `links`, `nnz`, `examined` and `resident_bytes` with
+//!   `nnz ≤ examined`.
 //!   Journals are streamed through
 //!   [`rayfade_telemetry::JournalReader`], so linting a 100 MB journal
 //!   needs memory for one line, not the file;
@@ -89,14 +92,18 @@ fn lint_journal(path: &Path, require_health: bool) -> Vec<String> {
             Some(kind) if !kind.is_empty() => {}
             _ => problems.push(format!("event {i} has no non-empty kind")),
         }
-        if ev.get("kind").and_then(|v| v.as_str()) == Some("health") {
-            health_events += 1;
-            for field in ["detector", "verdict"] {
-                match ev.get(field).and_then(|v| v.as_str()) {
-                    Some(value) if !value.is_empty() => {}
-                    _ => problems.push(format!("health event {i} has no non-empty {field}")),
+        match ev.get("kind").and_then(|v| v.as_str()) {
+            Some("health") => {
+                health_events += 1;
+                for field in ["detector", "verdict"] {
+                    match ev.get(field).and_then(|v| v.as_str()) {
+                        Some(value) if !value.is_empty() => {}
+                        _ => problems.push(format!("health event {i} has no non-empty {field}")),
+                    }
                 }
             }
+            Some("sparse_ratios") => problems.extend(lint_sparse_ratios(&ev, i)),
+            _ => {}
         }
     }
     if count == 0 && problems.is_empty() {
@@ -104,6 +111,33 @@ fn lint_journal(path: &Path, require_health: bool) -> Vec<String> {
     }
     if require_health && health_events == 0 {
         problems.push("health journal contains no health events".to_string());
+    }
+    problems
+}
+
+/// Checks the size fields of a spatial-builder `sparse_ratios` event
+/// (the `i`-th of its journal).
+fn lint_sparse_ratios(ev: &Json, i: usize) -> Vec<String> {
+    let mut problems = Vec::new();
+    let mut field = |name: &str| match ev.get(name).and_then(|v| v.as_i64()) {
+        Some(v) if v >= 0 => Some(v),
+        _ => {
+            problems.push(format!(
+                "sparse_ratios event {i} has no non-negative integer {name}"
+            ));
+            None
+        }
+    };
+    let nnz = field("nnz");
+    let examined = field("examined");
+    field("links");
+    field("resident_bytes");
+    if let (Some(nnz), Some(examined)) = (nnz, examined) {
+        if nnz > examined {
+            problems.push(format!(
+                "sparse_ratios event {i} retains {nnz} pairs of {examined} examined"
+            ));
+        }
     }
     problems
 }
@@ -372,6 +406,39 @@ mod tests {
             start_ns,
             end_ns,
         }
+    }
+
+    fn sparse_event(fields: &[(&str, i64)]) -> Json {
+        let mut pairs = vec![("kind".to_string(), Json::Str("sparse_ratios".to_string()))];
+        pairs.extend(
+            fields
+                .iter()
+                .map(|&(k, v)| (k.to_string(), Json::Num(v as f64))),
+        );
+        Json::Obj(pairs)
+    }
+
+    #[test]
+    fn sparse_ratios_sizes_are_checked() {
+        let full = [
+            ("links", 100),
+            ("nnz", 20),
+            ("examined", 900),
+            ("resident_bytes", 4496),
+        ];
+        assert!(lint_sparse_ratios(&sparse_event(&full), 3).is_empty());
+        let problems = lint_sparse_ratios(&sparse_event(&full[..3]), 3);
+        assert_eq!(
+            problems,
+            ["sparse_ratios event 3 has no non-negative integer resident_bytes"]
+        );
+        let mut inverted = full;
+        inverted[1].1 = 901;
+        let problems = lint_sparse_ratios(&sparse_event(&inverted), 3);
+        assert_eq!(
+            problems,
+            ["sparse_ratios event 3 retains 901 pairs of 900 examined"]
+        );
     }
 
     #[test]

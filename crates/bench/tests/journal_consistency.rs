@@ -15,9 +15,15 @@
 //! The journal is consumed in one streaming pass through
 //! [`JournalReader`] — only the per-cell aggregates are retained, so the
 //! test's memory footprint is independent of journal length.
+//!
+//! The spatial builder's `sparse_ratios` event is checked the same way
+//! against the cache it describes.
 
 use rayfade_dynamic::{least_squares_slope, DRIFT_TOLERANCE};
-use rayfade_telemetry::{JournalReader, Json};
+use rayfade_geometry::PaperTopology;
+use rayfade_sinr::{PowerAssignment, SinrParams};
+use rayfade_spatial::build_sparse_ratios_stats;
+use rayfade_telemetry::{JournalReader, Json, Telemetry};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
@@ -234,4 +240,53 @@ fn committed_journal_reproduces_committed_stability_verdicts() {
             None => assert!(*none, "journal claims a λ* where recomputation finds none"),
         }
     }
+}
+
+/// The journaled `sparse_ratios` event carries the sizes of the cache the
+/// builder returned, and the journal passes `telemetry_lint`.
+#[test]
+fn sparse_ratios_event_matches_the_built_cache() {
+    let dir = std::env::temp_dir().join(format!("rayfade-sparse-journal-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let path = dir.join("sparse_journal.jsonl");
+    let net = PaperTopology {
+        links: 600,
+        side: (600.0f64 * 1e6).sqrt(),
+        min_length: 20.0,
+        max_length: 40.0,
+    }
+    .generate(0x5ba7);
+    let params = SinrParams::new(4.0, 2.5, 4e-7);
+    let power = PowerAssignment::figure1_uniform();
+    let tele = Telemetry::with_journal(&path).expect("open journal");
+    let (ratios, stats) = build_sparse_ratios_stats(&net, &power, &params, 1e-2, Some(&tele));
+    tele.flush();
+    drop(tele);
+
+    let events: Vec<Json> = JournalReader::open(&path)
+        .expect("read journal")
+        .map(|ev| ev.expect("parse event"))
+        .filter(|ev| ev.get("kind").and_then(|v| v.as_str()) == Some("sparse_ratios"))
+        .collect();
+    assert_eq!(events.len(), 1, "one sparse_ratios event per build");
+    let ev = &events[0];
+    let int = |key: &str| num_field(ev, key) as u64;
+    assert_eq!(int("links"), ratios.len() as u64);
+    assert_eq!(int("nnz"), stats.retained);
+    assert_eq!(int("nnz"), ratios.nnz() as u64);
+    assert_eq!(int("examined"), stats.examined);
+    assert_eq!(int("resident_bytes"), ratios.resident_bytes() as u64);
+    assert_eq!(num_field(ev, "tau_max").to_bits(), stats.tau_max.to_bits());
+
+    let lint = std::process::Command::new(env!("CARGO_BIN_EXE_telemetry_lint"))
+        .arg("--telemetry")
+        .arg(&dir)
+        .output()
+        .expect("run telemetry_lint");
+    assert!(
+        lint.status.success(),
+        "telemetry_lint rejects the journal: {}",
+        String::from_utf8_lossy(&lint.stderr)
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }

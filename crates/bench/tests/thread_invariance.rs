@@ -14,8 +14,9 @@ use rayfade_dynamic::{
     MonitoredStabilityReport, PolicyKind, SlotModelKind, StabilityReport, SuccessModelKind,
 };
 use rayfade_geometry::PaperTopology;
+use rayfade_sinr::sparse::ROWS_PER_TASK;
 use rayfade_sinr::{PowerAssignment, SinrParams};
-use rayfade_spatial::build_sparse_ratios;
+use rayfade_spatial::{build_sparse_ratios_stats, SparseBuildStats};
 use rayfade_telemetry::Telemetry;
 use std::path::PathBuf;
 
@@ -171,23 +172,15 @@ fn monitored_sweep_journal_and_health_identical_at_pool_sizes_1_4_8() {
 
 #[test]
 fn sparse_2k_csr_identical_at_pool_sizes_1_2_8() {
-    let topology = PaperTopology {
-        links: 2000,
-        side: 44_722.0,
-        min_length: 20.0,
-        max_length: 40.0,
-    };
-    let net = topology.generate(0xc5_7e);
-    let params = SinrParams::new(4.0, 2.5, 4e-7);
-    let power = PowerAssignment::figure1_uniform();
-
-    /// One row's exact content: column indices, value bits, noise-factor
-    /// bits, signal bits.
-    type RowPrint = (Vec<u32>, Vec<u64>, u64, u64);
+    /// One row's exact content: column indices, value bits, and the bits
+    /// of its noise factor, signal and certificate τᵢ.
+    type RowPrint = (Vec<u32>, Vec<u64>, u64, u64, u64);
 
     /// Exact CSR content: per-row column indices plus the bit patterns
-    /// of every float the evaluator reads.
-    fn fingerprint(ratios: &rayfade_sinr::SparseInterferenceRatios) -> (usize, Vec<RowPrint>) {
+    /// of every float the evaluator reads, and the build statistics.
+    fn fingerprint(
+        (ratios, stats): (rayfade_sinr::SparseInterferenceRatios, SparseBuildStats),
+    ) -> (usize, Vec<RowPrint>, SparseBuildStats) {
         let rows = (0..ratios.len())
             .map(|i| {
                 let (cols, vals) = ratios.row(i);
@@ -196,24 +189,35 @@ fn sparse_2k_csr_identical_at_pool_sizes_1_2_8() {
                     vals.iter().map(|v| v.to_bits()).collect(),
                     ratios.noise_factor(i).to_bits(),
                     ratios.signal(i).to_bits(),
+                    ratios.tau(i).to_bits(),
                 )
             })
             .collect();
-        (ratios.nnz(), rows)
+        (ratios.nnz(), rows, stats)
     }
 
-    let reference = at_pool_size(POOL_SIZES[0], || {
-        fingerprint(&build_sparse_ratios(&net, &power, &params, 5e-2, None))
-    });
-    assert!(reference.0 > 0, "sparse build produced no entries");
-    for &threads in &POOL_SIZES[1..] {
-        let fresh = at_pool_size(threads, || {
-            fingerprint(&build_sparse_ratios(&net, &power, &params, 5e-2, None))
-        });
-        assert_eq!(
-            fresh, reference,
-            "sparse CSR contents differ between pool size 1 and {threads}"
-        );
+    // 2049 rows leave a last partial task of the row-parallel driver.
+    assert_ne!(2049 % ROWS_PER_TASK, 0);
+    let params = SinrParams::new(4.0, 2.5, 4e-7);
+    let power = PowerAssignment::figure1_uniform();
+    for links in [2000, 2049] {
+        let topology = PaperTopology {
+            links,
+            side: 44_722.0,
+            min_length: 20.0,
+            max_length: 40.0,
+        };
+        let net = topology.generate(0xc5_7e);
+        let build = || fingerprint(build_sparse_ratios_stats(&net, &power, &params, 5e-2, None));
+        let reference = at_pool_size(POOL_SIZES[0], build);
+        assert!(reference.0 > 0, "sparse build produced no entries");
+        for &threads in &POOL_SIZES[1..] {
+            let fresh = at_pool_size(threads, build);
+            assert_eq!(
+                fresh, reference,
+                "sparse CSR contents differ between pool size 1 and {threads} at {links} links"
+            );
+        }
     }
 }
 

@@ -17,9 +17,18 @@
 //!    `B ≤ τ/2` (or everything is examined, making `B = 0`).
 //! 2. **Greedy interior truncation.** The examined ratios — computed with
 //!    arithmetic bit-equal to `GainMatrix::from_geometry` +
-//!    `InterferenceRatios::new` — are sorted and the smallest are dropped
-//!    while their *exact* summed log-mass stays within the remaining
-//!    budget `τ − B`.
+//!    `InterferenceRatios::new` — go to the shared row-parallel driver
+//!    (`SparseInterferenceRatios::from_row_kernel`), which drops the
+//!    smallest while their *exact* summed log-mass stays within the
+//!    remaining budget `τ − B` and column-sorts only the survivors.
+//!
+//! The sweep reads memory in order: the grid stores sender positions in
+//! its cell (item) order and the builder permutes the powers to match,
+//! so each ring is a handful of contiguous position ranges, one per grid
+//! row segment. The visit order within a ring stays cell by cell (top
+//! row, side columns, bottom row; link indices ascending within a cell):
+//! the examined power, and with it the exterior bound and every `τᵢ`,
+//! depends on that order bit for bit.
 //!
 //! The per-receiver certificate is `τᵢ = (exact dropped mass) + B ≤ τ`,
 //! so every sparse evaluation `p` brackets the dense value in
@@ -34,12 +43,11 @@
 
 use crate::grid::SpatialGrid;
 use rayfade_geometry::{LinkGeometry, Network};
-use rayfade_sinr::sparse::truncate_smallest;
+use rayfade_sinr::sparse::RowHead;
 use rayfade_sinr::{
     kahan_sum, truncation_budget, PowerAssignment, SinrParams, SparseInterferenceRatios,
 };
 use rayfade_telemetry::{trace, Telemetry};
-use rayon::prelude::*;
 
 /// Build statistics of one [`build_sparse_ratios`] run, also exported as
 /// telemetry counters.
@@ -54,16 +62,6 @@ pub struct SparseBuildStats {
     pub truncated: u64,
     /// Largest per-receiver certificate `max_i τᵢ`.
     pub tau_max: f64,
-}
-
-/// One receiver row produced by the parallel sweep.
-struct RowBuild {
-    entries: Vec<(u32, f64)>,
-    noise: f64,
-    signal: f64,
-    tau: f64,
-    examined: u64,
-    truncated: u64,
 }
 
 /// Builds certified ε-truncated sparse ratios from geometry with an
@@ -136,8 +134,6 @@ fn build_inner(
 ) -> (SparseInterferenceRatios, SparseBuildStats) {
     let tau_budget = truncation_budget(delta);
     let n = network.len();
-    let beta = params.beta;
-    let alpha = params.alpha;
     let tracer = tele.and_then(|t| t.tracer());
 
     let grid = {
@@ -146,60 +142,36 @@ fn build_inner(
     };
 
     let _ratios_span = trace::guard(tracer, tracer.map(|tr| tr.span_id("spatial/sparse_ratios")));
-    let powers = power.powers(network, alpha);
-    let total_power = kahan_sum(powers.iter().copied());
-    let p_max = powers.iter().copied().fold(0.0f64, f64::max);
-
-    let rows: Vec<RowBuild> = (0..n)
-        .into_par_iter()
-        .map(|i| {
-            build_row(
-                i,
-                network,
-                &grid,
-                &powers,
-                total_power,
-                p_max,
-                beta,
-                alpha,
-                params.noise,
-                tau_budget,
-            )
-        })
-        .collect();
-
-    let mut row_ptr = vec![0usize; n + 1];
-    let nnz: usize = rows.iter().map(|r| r.entries.len()).sum();
-    let mut col = Vec::with_capacity(nnz);
-    let mut rho = Vec::with_capacity(nnz);
-    let mut noise = vec![0.0; n];
-    let mut signal = vec![0.0; n];
-    let mut tau = vec![0.0; n];
-    let mut stats = SparseBuildStats::default();
-    for (i, row) in rows.into_iter().enumerate() {
-        noise[i] = row.noise;
-        signal[i] = row.signal;
-        tau[i] = row.tau;
-        stats.examined += row.examined;
-        stats.truncated += row.truncated;
-        stats.retained += row.entries.len() as u64;
-        stats.tau_max = stats.tau_max.max(row.tau);
-        for (j, r) in row.entries {
-            col.push(j);
-            rho.push(r);
-        }
-        row_ptr[i + 1] = col.len();
-        if let Some(t) = tele {
-            t.registry()
-                .histogram("rayfade_spatial_truncated_logmass")
-                .observe(row.tau);
-        }
-    }
-    let ratios = SparseInterferenceRatios::from_raw_parts(
-        beta, delta, row_ptr, col, rho, noise, signal, tau,
+    let powers = power.powers(network, params.alpha);
+    let sweep = Sweep {
+        network,
+        grid: &grid,
+        item_powers: grid.items().iter().map(|&j| powers[j as usize]).collect(),
+        total_power: kahan_sum(powers.iter().copied()),
+        p_max: powers.iter().copied().fold(0.0f64, f64::max),
+        powers,
+        params,
+        tau_budget,
+    };
+    let (ratios, counts) = SparseInterferenceRatios::from_row_kernel(
+        n,
+        params.beta,
+        delta,
+        || (),
+        |i, (), entries| sweep.row(i, entries),
     );
+    let stats = SparseBuildStats {
+        examined: counts.examined,
+        retained: ratios.nnz() as u64,
+        truncated: counts.truncated,
+        tau_max: ratios.tau_max(),
+    };
     if let Some(t) = tele {
         let reg = t.registry();
+        let logmass = reg.histogram("rayfade_spatial_truncated_logmass");
+        for i in 0..n {
+            logmass.observe(ratios.tau(i));
+        }
         reg.counter("rayfade_spatial_pairs_examined_total")
             .add(stats.examined);
         reg.counter("rayfade_spatial_pairs_retained_total")
@@ -210,6 +182,8 @@ fn build_inner(
         if let Some(ev) = t.event("sparse_ratios") {
             ev.int("links", n as i64)
                 .int("nnz", ratios.nnz() as i64)
+                .int("examined", stats.examined as i64)
+                .int("resident_bytes", ratios.resident_bytes() as i64)
                 .num("delta", delta)
                 .num("tau_budget", tau_budget)
                 .num("tau_max", stats.tau_max)
@@ -222,118 +196,117 @@ fn build_inner(
     (ratios, stats)
 }
 
-/// Builds one receiver row: ring expansion until the lumped exterior
-/// bound drops below `τ/2`, then greedy interior truncation within the
-/// remaining budget.
-#[allow(clippy::too_many_arguments)]
-fn build_row(
-    i: usize,
-    network: &Network,
-    grid: &SpatialGrid,
-    powers: &[f64],
+/// What every receiver's ring sweep shares.
+struct Sweep<'a> {
+    network: &'a Network,
+    grid: &'a SpatialGrid,
+    /// Transmit powers by link index.
+    powers: Vec<f64>,
+    /// The same powers in the grid's item order.
+    item_powers: Vec<f64>,
     total_power: f64,
     p_max: f64,
-    beta: f64,
-    alpha: f64,
-    noise_param: f64,
+    params: &'a SinrParams,
     tau_budget: f64,
-) -> RowBuild {
-    let n = network.len();
-    // Own signal with arithmetic bit-equal to `GainMatrix::from_geometry`.
-    let d_own = network.cross_dist(i, i);
-    assert!(
-        d_own > 0.0,
-        "cross distance d(s_{i}, r_{i}) must be positive"
-    );
-    let s_ii = powers[i] / d_own.powf(alpha);
-    assert!(s_ii.is_finite(), "gain S({i},{i}) must be finite");
-    if s_ii == 0.0 {
-        // Dead receiver: empty row, zero noise factor, exact (τᵢ = 0) —
-        // its success probability is 0 regardless of interference.
-        return RowBuild {
-            entries: Vec::new(),
-            noise: 0.0,
-            signal: 0.0,
-            tau: 0.0,
-            examined: 0,
-            truncated: 0,
-        };
-    }
-    let noise = (-beta * noise_param / s_ii).exp();
-    let receiver = network.link(i).receiver;
-    let (cx, cy) = grid.cell_of(&receiver);
-    let mut entries: Vec<(u32, f64)> = Vec::new();
-    let mut examined_power = 0.0f64;
-    let mut examined_count = 0usize;
-    let exterior; // certified bound on unexamined log-mass, set at loop exit
-    let mut m = 0usize;
-    loop {
-        grid.for_each_in_ring(cx, cy, m, |j| {
-            let ju = j as usize;
-            examined_count += 1;
-            examined_power += powers[ju];
-            if ju == i {
-                return;
-            }
-            let d = network.cross_dist(ju, i);
-            assert!(d > 0.0, "cross distance d(s_{ju}, r_{i}) must be positive");
-            let s_ji = powers[ju] / d.powf(alpha);
-            assert!(s_ji.is_finite(), "gain S({ju},{i}) must be finite");
-            if s_ji == 0.0 {
-                return;
-            }
-            // Same guarded form as the dense cache.
-            let r = beta / (beta + s_ii / s_ji);
-            if r > 0.0 {
-                entries.push((j, r));
-            }
-        });
-        if examined_count == n {
-            exterior = 0.0;
-            break;
+}
+
+impl Sweep<'_> {
+    /// Sweeps receiver `i`'s rings until the lumped exterior bound drops
+    /// below `τ/2`, pushing every examined nonzero ratio; the bound
+    /// becomes the row's reserved log-mass.
+    fn row(&self, i: usize, entries: &mut Vec<(u32, f64)>) -> RowHead {
+        let (beta, alpha) = (self.params.beta, self.params.alpha);
+        let (grid, n) = (self.grid, self.network.len());
+        // Own signal with arithmetic bit-equal to `GainMatrix::from_geometry`.
+        let d_own = self.network.cross_dist(i, i);
+        assert!(
+            d_own > 0.0,
+            "cross distance d(s_{i}, r_{i}) must be positive"
+        );
+        let s_ii = self.powers[i] / d_own.powf(alpha);
+        assert!(s_ii.is_finite(), "gain S({i},{i}) must be finite");
+        if s_ii == 0.0 {
+            // Dead receiver: empty row, zero noise factor, exact (τᵢ = 0) —
+            // its success probability is 0 regardless of interference.
+            return RowHead {
+                noise: 0.0,
+                signal: 0.0,
+                reserved: 0.0,
+                examined: 0,
+            };
         }
-        match grid.exterior_distance(&receiver, cx, cy, m) {
-            None => {
-                // Block covers the grid, so every sender was examined —
-                // unreachable given the count check above, but harmless.
+        let receiver = self.network.link(i).receiver;
+        let (cx, cy) = grid.cell_of(&receiver);
+        let mut examined_power = 0.0f64;
+        let mut examined_count = 0usize;
+        let exterior; // certified bound on unexamined log-mass, set at loop exit
+        let mut m = 0usize;
+        loop {
+            grid.for_each_range_in_ring(cx, cy, m, |range| {
+                examined_count += range.len();
+                let items = &grid.items()[range.clone()];
+                let senders = &grid.senders()[range.clone()];
+                for ((&j, sender), &p_j) in items.iter().zip(senders).zip(&self.item_powers[range])
+                {
+                    examined_power += p_j;
+                    if j as usize == i {
+                        continue;
+                    }
+                    let d = sender.distance(&receiver);
+                    assert!(d > 0.0, "cross distance d(s_{j}, r_{i}) must be positive");
+                    let s_ji = p_j / d.powf(alpha);
+                    assert!(s_ji.is_finite(), "gain S({j},{i}) must be finite");
+                    if s_ji == 0.0 {
+                        continue;
+                    }
+                    // Same guarded form as the dense cache.
+                    let r = beta / (beta + s_ii / s_ji);
+                    if r > 0.0 {
+                        entries.push((j, r));
+                    }
+                }
+            });
+            if examined_count == n {
                 exterior = 0.0;
                 break;
             }
-            Some(d_min) => {
-                if d_min > 0.0 && tau_budget > 0.0 {
-                    let p_rem = (total_power - examined_power).max(0.0);
-                    let denom = s_ii * d_min.powf(alpha);
-                    let x = beta * p_max / denom; // ≥ β·ḡ of any unexamined sender
-                    if x.is_finite() {
-                        // ρ ≤ ρ̄ = x/(x+1) < 1 and −ln(1−ρ) ≤ k(ρ̄)·ρ.
-                        let rho_bar = x / (x + 1.0);
-                        let kfac = if rho_bar > 0.0 {
-                            -(-rho_bar).ln_1p() / rho_bar
-                        } else {
-                            1.0
-                        };
-                        let bound = kfac * beta * p_rem / denom;
-                        if bound <= 0.5 * tau_budget {
-                            exterior = bound;
-                            break;
+            match grid.exterior_distance(&receiver, cx, cy, m) {
+                None => {
+                    // Block covers the grid, so every sender was examined —
+                    // unreachable given the count check above, but harmless.
+                    exterior = 0.0;
+                    break;
+                }
+                Some(d_min) => {
+                    if d_min > 0.0 && self.tau_budget > 0.0 {
+                        let p_rem = (self.total_power - examined_power).max(0.0);
+                        let denom = s_ii * d_min.powf(alpha);
+                        let x = beta * self.p_max / denom; // ≥ β·ḡ of any unexamined sender
+                        if x.is_finite() {
+                            // ρ ≤ ρ̄ = x/(x+1) < 1 and −ln(1−ρ) ≤ k(ρ̄)·ρ.
+                            let rho_bar = x / (x + 1.0);
+                            let kfac = if rho_bar > 0.0 {
+                                -(-rho_bar).ln_1p() / rho_bar
+                            } else {
+                                1.0
+                            };
+                            let bound = kfac * beta * p_rem / denom;
+                            if bound <= 0.5 * self.tau_budget {
+                                exterior = bound;
+                                break;
+                            }
                         }
                     }
                 }
             }
+            m += 1;
         }
-        m += 1;
-    }
-    let examined = examined_count.saturating_sub(1) as u64; // own sender is not a pair
-    entries.sort_unstable_by_key(|e| e.0);
-    let before = entries.len();
-    let dropped = truncate_smallest(&mut entries, tau_budget - exterior);
-    RowBuild {
-        noise,
-        signal: s_ii,
-        tau: dropped + exterior,
-        examined,
-        truncated: (before - entries.len()) as u64,
-        entries,
+        RowHead {
+            noise: (-beta * self.params.noise / s_ii).exp(),
+            signal: s_ii,
+            reserved: exterior,
+            examined: examined_count.saturating_sub(1) as u64, // own sender is not a pair
+        }
     }
 }
 
@@ -455,6 +428,8 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("\"sparse_ratios\""), "journal event written");
         assert!(text.contains("\"delta\""));
+        assert!(text.contains("\"examined\""));
+        assert!(text.contains("\"resident_bytes\""));
         let spans = tele.tracer().unwrap().snapshot();
         let names: Vec<_> = spans.records.iter().map(|r| r.name.as_str()).collect();
         assert!(names.contains(&"spatial/grid_build"), "{names:?}");

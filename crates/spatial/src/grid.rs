@@ -2,10 +2,13 @@
 //!
 //! Buckets the sender of every link into square cells of a fixed size,
 //! with deterministic iteration order (cells row-major, link indices
-//! ascending within a cell). The index answers three kinds of questions:
+//! ascending within a cell). Sender positions are stored in that same
+//! *item order*, so the cells of one grid row segment are one contiguous
+//! run of positions. The index answers three kinds of questions:
 //!
-//! * membership — which senders fall in a given cell or Chebyshev ring
-//!   of cells ([`SpatialGrid::for_each_in_ring`]),
+//! * membership — which senders fall in a given cell
+//!   ([`SpatialGrid::in_cell`]) or Chebyshev ring of cells, as contiguous
+//!   position ranges ([`SpatialGrid::for_each_range_in_ring`]),
 //! * proximity — all senders within a radius
 //!   ([`SpatialGrid::radius_indices`]) or the k nearest senders
 //!   ([`SpatialGrid::k_nearest`]), and
@@ -21,6 +24,7 @@
 
 use rayfade_geometry::{BoundingBox, Network, Point};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Hard cap on the number of grid cells — catches pathologically small
 /// cell sizes before they allocate gigabytes of offsets.
@@ -37,9 +41,10 @@ pub struct SpatialGrid {
     /// CSR over cells in row-major `(cy, cx)` order:
     /// cell `(cx, cy)` holds `items[cell_start[cy*nx+cx]..cell_start[cy*nx+cx+1]]`.
     cell_start: Vec<usize>,
-    /// Link indices, ascending within each cell.
+    /// Link index per position: cells in row-major order, link indices
+    /// ascending within each cell.
     items: Vec<u32>,
-    /// Sender position per link, for distance filtering in queries.
+    /// Sender of `items[k]` at position `k` (item order).
     senders: Vec<Point>,
 }
 
@@ -57,7 +62,6 @@ impl SpatialGrid {
         );
         let n = network.len();
         assert!(n <= u32::MAX as usize, "link index must fit in u32");
-        let senders: Vec<Point> = network.iter().map(|(_, l)| l.sender).collect();
         let bbox = network
             .bounding_box()
             .unwrap_or_else(|| BoundingBox::square(0.0));
@@ -75,17 +79,19 @@ impl SpatialGrid {
         // Counting sort: deterministic, items ascending per cell because
         // links are visited in index order.
         let mut cell_start = vec![0usize; nx * ny + 1];
-        for p in &senders {
-            cell_start[index_of(p) + 1] += 1;
+        for (_, link) in network.iter() {
+            cell_start[index_of(&link.sender) + 1] += 1;
         }
         for c in 0..nx * ny {
             cell_start[c + 1] += cell_start[c];
         }
         let mut cursor = cell_start.clone();
         let mut items = vec![0u32; n];
-        for (j, p) in senders.iter().enumerate() {
-            let c = index_of(p);
+        let mut senders = vec![Point::ORIGIN; n];
+        for (j, link) in network.iter() {
+            let c = index_of(&link.sender);
             items[cursor[c]] = j as u32;
+            senders[cursor[c]] = link.sender;
             cursor[c] += 1;
         }
         SpatialGrid {
@@ -148,41 +154,64 @@ impl SpatialGrid {
     /// Link indices whose sender falls in cell `(cx, cy)`, ascending.
     #[inline]
     pub fn in_cell(&self, cx: usize, cy: usize) -> &[u32] {
-        let c = cy * self.nx + cx;
-        &self.items[self.cell_start[c]..self.cell_start[c + 1]]
+        &self.items[self.row_segment(cy, cx, cx)]
     }
 
-    /// Calls `f` for every sender in the Chebyshev ring of cell-distance
-    /// exactly `m` around `(cx, cy)` (ring 0 is the cell itself). Cells
-    /// outside the grid are skipped; visit order is deterministic
-    /// (top row, middle columns, bottom row, each left-to-right).
-    pub fn for_each_in_ring<F: FnMut(u32)>(&self, cx: usize, cy: usize, m: usize, mut f: F) {
+    /// Link index at every position (item order: cells row-major, link
+    /// indices ascending within a cell).
+    #[inline]
+    pub fn items(&self) -> &[u32] {
+        &self.items
+    }
+
+    /// Sender at every position, in the item order of
+    /// [`items`](Self::items).
+    #[inline]
+    pub fn senders(&self) -> &[Point] {
+        &self.senders
+    }
+
+    /// Positions of the cells `x_lo..=x_hi` of grid row `y`: cells are
+    /// laid out row-major, so the segment is one contiguous range.
+    #[inline]
+    fn row_segment(&self, y: usize, x_lo: usize, x_hi: usize) -> Range<usize> {
+        let base = y * self.nx;
+        self.cell_start[base + x_lo]..self.cell_start[base + x_hi + 1]
+    }
+
+    /// Calls `f` with position ranges (into [`items`](Self::items) and
+    /// [`senders`](Self::senders)) that together hold exactly the senders
+    /// in the Chebyshev ring of cell-distance `m` around `(cx, cy)` (ring
+    /// 0 is the cell itself). Cells outside the grid are skipped. The
+    /// order is deterministic, one range per clipped grid row segment:
+    /// the top row, then the left and right cell of each middle row, then
+    /// the bottom row — the cells left to right, each cell's links
+    /// ascending. Ranges may be empty.
+    pub fn for_each_range_in_ring<F: FnMut(Range<usize>)>(
+        &self,
+        cx: usize,
+        cy: usize,
+        m: usize,
+        mut f: F,
+    ) {
+        let (nx, ny) = (self.nx as i64, self.ny as i64);
         let (cx, cy, m) = (cx as i64, cy as i64, m as i64);
-        let visit_row = |y: i64, x_lo: i64, x_hi: i64, f: &mut F| {
-            if y < 0 || y >= self.ny as i64 {
-                return;
-            }
-            let x_lo = x_lo.max(0);
-            let x_hi = x_hi.min(self.nx as i64 - 1);
-            if x_lo > x_hi {
-                return;
-            }
-            for x in x_lo..=x_hi {
-                for &j in self.in_cell(x as usize, y as usize) {
-                    f(j);
-                }
+        let mut segment = |y: i64, x_lo: i64, x_hi: i64| {
+            let (x_lo, x_hi) = (x_lo.max(0), x_hi.min(nx - 1));
+            if (0..ny).contains(&y) && x_lo <= x_hi {
+                f(self.row_segment(y as usize, x_lo as usize, x_hi as usize));
             }
         };
         if m == 0 {
-            visit_row(cy, cx, cx, &mut f);
+            segment(cy, cx, cx);
             return;
         }
-        visit_row(cy - m, cx - m, cx + m, &mut f);
-        for y in (cy - m + 1)..=(cy + m - 1) {
-            visit_row(y, cx - m, cx - m, &mut f);
-            visit_row(y, cx + m, cx + m, &mut f);
+        segment(cy - m, cx - m, cx + m);
+        for y in (cy - m + 1).max(0)..=(cy + m - 1).min(ny - 1) {
+            segment(y, cx - m, cx - m);
+            segment(y, cx + m, cx + m);
         }
-        visit_row(cy + m, cx - m, cx + m, &mut f);
+        segment(cy + m, cx - m, cx + m);
     }
 
     /// Lower bound on the distance from `p` to any indexed sender
@@ -226,11 +255,9 @@ impl SpatialGrid {
         let (hi_cx, hi_cy) = self.cell_of(&Point::new(p.x + r, p.y + r));
         let mut out = Vec::new();
         for cy in lo_cy..=hi_cy {
-            for cx in lo_cx..=hi_cx {
-                for &j in self.in_cell(cx, cy) {
-                    if self.senders[j as usize].distance(p) <= r {
-                        out.push(j as usize);
-                    }
+            for k in self.row_segment(cy, lo_cx, hi_cx) {
+                if self.senders[k].distance(p) <= r {
+                    out.push(self.items[k] as usize);
                 }
             }
         }
@@ -250,8 +277,10 @@ impl SpatialGrid {
         let mut cand: Vec<(f64, u32)> = Vec::new();
         let mut m = 0usize;
         loop {
-            self.for_each_in_ring(cx, cy, m, |j| {
-                cand.push((self.senders[j as usize].distance(p), j));
+            self.for_each_range_in_ring(cx, cy, m, |range| {
+                for k in range {
+                    cand.push((self.senders[k].distance(p), self.items[k]));
+                }
             });
             match self.exterior_distance(p, cx, cy, m) {
                 None => break, // everything examined
@@ -276,6 +305,13 @@ impl SpatialGrid {
 mod tests {
     use super::*;
     use rayfade_geometry::Link;
+
+    /// The links of ring `m` around `(cx, cy)`, in visit order.
+    fn ring(g: &SpatialGrid, cx: usize, cy: usize, m: usize) -> Vec<u32> {
+        let mut out = Vec::new();
+        g.for_each_range_in_ring(cx, cy, m, |r| out.extend_from_slice(&g.items()[r]));
+        out
+    }
 
     /// A 3×3 lattice of unit links: sender of link (i, j) at (10i, 10j).
     fn lattice() -> Network {
@@ -315,7 +351,7 @@ mod tests {
         let (cx, cy) = g.cell_of(&Point::new(10.0, 10.0));
         let mut seen = Vec::new();
         for m in 0..16 {
-            g.for_each_in_ring(cx, cy, m, |j| seen.push(j));
+            seen.extend(ring(&g, cx, cy, m));
             if g.exterior_distance(&Point::new(10.0, 10.0), cx, cy, m)
                 .is_none()
             {
@@ -340,7 +376,7 @@ mod tests {
             // `bound` away.
             let mut inside = Vec::new();
             for mm in 0..=m {
-                g.for_each_in_ring(cx, cy, mm, |j| inside.push(j));
+                inside.extend(ring(&g, cx, cy, mm));
             }
             for j in 0..net.len() as u32 {
                 if !inside.contains(&j) {
