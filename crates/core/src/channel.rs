@@ -24,6 +24,98 @@ pub fn sample_exponential<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> f64 {
     -mean * (1.0 - u).ln()
 }
 
+/// The ascending indices of the links `active` marks as transmitting —
+/// the per-slot sender list the draw helpers walk.
+pub fn active_senders(active: &[bool]) -> Vec<usize> {
+    active
+        .iter()
+        .enumerate()
+        .filter_map(|(j, &on)| on.then_some(j))
+        .collect()
+}
+
+/// Draws receiver `i`'s realized SINR against `senders`: one exponential
+/// per listed sender `j ≠ i` in ascending order, then the own signal
+/// last. A zero mean takes no draw (see [`sample_exponential`]) and adds
+/// exactly nothing, so skipping it cannot change a bit of the sum.
+///
+/// This and [`skip_receiver`] are the only places that define the
+/// fading-stream order.
+#[inline]
+fn draw_receiver<R: Rng + ?Sized>(
+    rng: &mut R,
+    row: &[f64],
+    i: usize,
+    senders: &[usize],
+    noise: f64,
+) -> f64 {
+    let mut interference = 0.0;
+    for &j in senders {
+        if j != i {
+            interference += sample_exponential(rng, row[j]);
+        }
+    }
+    let signal = sample_exponential(rng, row[i]);
+    let denom = interference + noise;
+    if denom == 0.0 {
+        if signal > 0.0 {
+            f64::INFINITY
+        } else {
+            0.0
+        }
+    } else {
+        signal / denom
+    }
+}
+
+/// Advances `rng` past exactly the draws [`draw_receiver`] would take
+/// for receiver `i`, without computing a single logarithm.
+#[inline]
+fn skip_receiver<R: Rng + ?Sized>(rng: &mut R, row: &[f64], i: usize, senders: &[usize]) {
+    for &j in senders {
+        if j != i && row[j] != 0.0 {
+            let _: f64 = rng.gen();
+        }
+    }
+    if row[i] != 0.0 {
+        let _: f64 = rng.gen();
+    }
+}
+
+/// The Rayleigh success-verdict kernel: draws one slot's fading
+/// realization over the expected gains `gain` and writes each link's
+/// verdict `SINR_i ≥ params.beta` into `verdicts`.
+///
+/// `senders` lists the slot's transmitting links, ascending (see
+/// [`active_senders`]). The stream is consumed receiver-major; within a
+/// receiver, active senders ascending with zero means skipped, then the
+/// receiver's own signal last — the order [`RayleighModel::sample_sinrs`]
+/// uses, so both leave `rng` in the same state.
+///
+/// Idle receivers' verdicts are `false`: `rng` is advanced past their
+/// draws without taking a logarithm.
+pub fn fading_verdicts<R: Rng + ?Sized>(
+    gain: &GainMatrix,
+    params: &SinrParams,
+    rng: &mut R,
+    senders: &[usize],
+    verdicts: &mut [bool],
+) {
+    debug_assert_eq!(verdicts.len(), gain.len());
+    debug_assert!(senders.windows(2).all(|w| w[0] < w[1]), "senders ascending");
+    let mut next_sender = senders.iter().peekable();
+    for (i, verdict) in verdicts.iter_mut().enumerate() {
+        let active = next_sender.next_if_eq(&&i).is_some();
+        let row = gain.at_receiver(i);
+        *verdict = if active {
+            draw_receiver(rng, row, i, senders, params.noise) >= params.beta
+        } else {
+            skip_receiver(rng, row, i, senders);
+            false
+        };
+    }
+}
+
 /// The stochastic Rayleigh-fading SINR model.
 ///
 /// Each call to [`SuccessModel::resolve_slot`] draws a fresh, independent
@@ -61,21 +153,77 @@ impl RayleighModel {
     /// Only coefficients that matter are sampled: the own-signal of every
     /// link and the interference coefficients of *active* senders. Inactive
     /// senders contribute nothing (their realization is irrelevant), which
-    /// keeps a slot at `O(n · |active|)` draws.
+    /// keeps a slot at `O(n · |active|)` draws. An idle link's SINR is
+    /// counterfactual: what it would have achieved transmitting against
+    /// this slot's active set.
     pub fn sample_sinrs(&mut self, active: &[bool]) -> Vec<f64> {
-        let n = self.gain.len();
-        debug_assert_eq!(active.len(), n);
+        debug_assert_eq!(active.len(), self.gain.len());
+        let senders = active_senders(active);
+        (0..self.gain.len())
+            .map(|i| {
+                draw_receiver(
+                    &mut self.rng,
+                    self.gain.at_receiver(i),
+                    i,
+                    &senders,
+                    self.params.noise,
+                )
+            })
+            .collect()
+    }
+}
+
+impl SuccessModel for RayleighModel {
+    fn len(&self) -> usize {
+        self.gain.len()
+    }
+
+    fn resolve_slot(&mut self, active: &[bool]) -> Vec<usize> {
+        debug_assert_eq!(active.len(), self.gain.len());
+        let senders = active_senders(active);
+        let mut verdicts = vec![false; self.gain.len()];
+        fading_verdicts(
+            &self.gain,
+            &self.params,
+            &mut self.rng,
+            &senders,
+            &mut verdicts,
+        );
+        // Idle links' verdicts are `false`: the true ones are the successes.
+        active_senders(&verdicts)
+    }
+
+    fn resolve_sinrs(&mut self, active: &[bool]) -> Vec<f64> {
+        self.sample_sinrs(active)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The path every Rayleigh slot took before the verdict kernel, kept
+    /// as the reference: walk the whole mask per receiver, drawing for
+    /// each active sender `j ≠ i`, then the own signal.
+    fn reference_sinrs(
+        rng: &mut StdRng,
+        gain: &GainMatrix,
+        noise: f64,
+        active: &[bool],
+    ) -> Vec<f64> {
+        let n = gain.len();
         let mut out = Vec::with_capacity(n);
         for i in 0..n {
-            let row = self.gain.at_receiver(i);
+            let row = gain.at_receiver(i);
             let mut interference = 0.0;
             for (j, (&mean, &on)) in row.iter().zip(active).enumerate() {
                 if on && j != i {
-                    interference += sample_exponential(&mut self.rng, mean);
+                    interference += sample_exponential(rng, mean);
                 }
             }
-            let signal = sample_exponential(&mut self.rng, row[i]);
-            let denom = interference + self.params.noise;
+            let signal = sample_exponential(rng, row[i]);
+            let denom = interference + noise;
             out.push(if denom == 0.0 {
                 if signal > 0.0 {
                     f64::INFINITY
@@ -88,30 +236,105 @@ impl RayleighModel {
         }
         out
     }
-}
 
-impl SuccessModel for RayleighModel {
-    fn len(&self) -> usize {
-        self.gain.len()
+    /// The next raw draw of `rng`, without advancing it.
+    fn peek(rng: &StdRng) -> u64 {
+        rand::RngCore::next_u64(&mut rng.clone())
     }
 
-    fn resolve_slot(&mut self, active: &[bool]) -> Vec<usize> {
-        let sinrs = self.sample_sinrs(active);
-        sinrs
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &s)| (active[i] && s >= self.params.beta).then_some(i))
-            .collect()
+    /// A random instance for the equivalence property. `shape` picks the
+    /// regime: 0 mixed gains with some zero off-diagonals and dead
+    /// receivers, 1 all off-diagonals zero (only own signals are drawn),
+    /// 2 the same as 0 at ν = 0, 3 half the receivers dead at ν = 0.
+    fn instance(n: usize, seed: u64, shape: u8) -> (GainMatrix, f64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let dead = if shape == 3 { 0.5 } else { 0.1 };
+        let g = (0..n * n)
+            .map(|k| {
+                let diagonal = k / n.max(1) == k % n.max(1);
+                let zero = if diagonal {
+                    rng.gen_bool(dead)
+                } else {
+                    shape == 1 || rng.gen_bool(0.2)
+                };
+                if zero {
+                    0.0
+                } else {
+                    10f64.powf(rng.gen_range(-3.0..3.0))
+                }
+            })
+            .collect();
+        let noise = if shape >= 2 { 0.0 } else { 0.01 };
+        (GainMatrix::from_raw(n, g), noise)
     }
 
-    fn resolve_sinrs(&mut self, active: &[bool]) -> Vec<f64> {
-        self.sample_sinrs(active)
-    }
-}
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+        /// Over consecutive slots at q = 0, random q, q = 1 and random q
+        /// again, the kernel, `resolve_slot` and `sample_sinrs` all equal
+        /// the reference, and every consumer's stream is left exactly
+        /// where the reference's is.
+        #[test]
+        fn kernel_matches_reference_path(
+            n in 0usize..48,
+            seed in any::<u64>(),
+            shape in 0u8..4,
+            q in 0.0f64..1.0,
+            beta in 0.1f64..5.0,
+        ) {
+            let (gain, noise) = instance(n, seed, shape);
+            let params = SinrParams { beta, noise, alpha: 2.0 };
+            let fading_seed = seed ^ 0xfade;
+            let mut reference = StdRng::seed_from_u64(fading_seed);
+            let mut slot_model = RayleighModel::new(gain.clone(), params, fading_seed);
+            let mut sinr_model = RayleighModel::new(gain.clone(), params, fading_seed);
+            let mut kernel = StdRng::seed_from_u64(fading_seed);
+            let mut masks = StdRng::seed_from_u64(seed.rotate_left(17));
+            let mut verdicts = vec![false; n];
+            for slot_q in [0.0, q, 1.0, q] {
+                let active: Vec<bool> = (0..n).map(|_| masks.gen_bool(slot_q)).collect();
+                let sinrs = reference_sinrs(&mut reference, &gain, noise, &active);
+                let expected: Vec<usize> =
+                    (0..n).filter(|&i| active[i] && sinrs[i] >= beta).collect();
+
+                fading_verdicts(&gain, &params, &mut kernel, &active_senders(&active), &mut verdicts);
+                prop_assert_eq!(active_senders(&verdicts), expected.clone());
+                prop_assert_eq!(slot_model.resolve_slot(&active), expected);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&sinr_model.sample_sinrs(&active)), bits(&sinrs));
+
+                let next = peek(&reference);
+                for rng in [&kernel, &slot_model.rng, &sinr_model.rng] {
+                    prop_assert_eq!(peek(rng), next);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zero_means_take_no_draw() {
+        // Off-diagonals all zero: a full slot takes exactly one draw per
+        // live receiver, whatever the mask, and the dead one takes none.
+        let gm = GainMatrix::from_raw(3, vec![2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 5.0]);
+        let params = SinrParams::new(2.0, 1.0, 0.0);
+        let mut m = RayleighModel::new(gm.clone(), params, 3);
+        let mut twin = StdRng::seed_from_u64(3);
+        let mut verdicts = vec![false; 3];
+        fading_verdicts(&gm, &params, &mut m.rng, &[0, 1, 2], &mut verdicts);
+        // ν = 0 and no interference: live links succeed, the dead one not.
+        assert_eq!(verdicts, [true, false, true]);
+        let _: (f64, f64) = (twin.gen(), twin.gen());
+        assert_eq!(m.rng, twin);
+        // An all-idle slot at ν = 0 hits the zero-denominator branch:
+        // nobody transmits, but counterfactually the live links would
+        // succeed (SINR = ∞).
+        assert_eq!(m.resolve_slot(&[false; 3]), Vec::<usize>::new());
+        assert_eq!(
+            m.sample_sinrs(&[false; 3]),
+            [f64::INFINITY, 0.0, f64::INFINITY]
+        );
+    }
 
     #[test]
     fn exponential_sampling_mean_and_positivity() {

@@ -72,7 +72,7 @@ pub use adaptive_mc::{estimate_expected_utility, AdaptiveConfig, AdaptiveEstimat
 pub use bounds::{
     interference_mass, observation1_lhs, observation1_rhs, success_lower_bound, success_upper_bound,
 };
-pub use channel::{sample_exponential, RayleighModel};
+pub use channel::{active_senders, fading_verdicts, sample_exponential, RayleighModel};
 pub use distribution::{
     expected_total_utility_exact, expected_utility_exact, sinr_ccdf, QuadratureConfig,
 };

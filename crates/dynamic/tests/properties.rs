@@ -2,12 +2,15 @@
 //! must hold for *any* seed, not just the pinned ones.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use rayfade_core::{sample_exponential, RayleighModel};
 use rayfade_dynamic::{
-    judge_cell, ArrivalProcess, DynamicConfig, DynamicEngine, PolicyKind, SlotModelKind,
-    SuccessModelKind,
+    judge_cell, ArrivalProcess, DynamicConfig, DynamicEngine, MonteCarloResolver, PolicyKind,
+    SlotModelKind, SlotResolver, SuccessModelKind,
 };
 use rayfade_geometry::PaperTopology;
-use rayfade_sinr::SinrParams;
+use rayfade_sinr::{GainMatrix, SinrParams};
 
 fn config(links: usize, slots: u64, rate: f64, side: f64, seed: u64) -> DynamicConfig {
     DynamicConfig {
@@ -82,5 +85,57 @@ proptest! {
             "drift {} unexpectedly under threshold",
             cell.drift
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The Monte Carlo resolver's indicators over a Rayleigh model equal
+    /// the path it took before the verdict kernel — per receiver, walk
+    /// the whole mask drawing each active interferer, then the own
+    /// signal, and threshold the SINR at β — on every one of several
+    /// consecutive slots, idle links included, so both consume the
+    /// fading stream identically. Covers zero gains (no draw), dead
+    /// receivers, ν = 0 with an all-idle slot, and q = 0, 1 and random.
+    #[test]
+    fn monte_carlo_resolver_matches_mask_walk_reference(
+        n in 0usize..48,
+        seed in any::<u64>(),
+        q in 0.0f64..1.0,
+        zero_noise in any::<bool>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let g = (0..n * n)
+            .map(|_| if rng.gen_bool(0.2) { 0.0 } else { 10f64.powf(rng.gen_range(-3.0..3.0)) })
+            .collect();
+        let gain = GainMatrix::from_raw(n, g);
+        let params = SinrParams::new(2.0, 1.5, if zero_noise { 0.0 } else { 0.01 });
+        let mut fading = StdRng::seed_from_u64(seed);
+        let model = RayleighModel::new(gain.clone(), params, seed);
+        let mut resolver = MonteCarloResolver::new(Box::new(model), params.beta);
+        let mut would_succeed = vec![false; n];
+        for slot_q in [0.0, q, 1.0, q, 0.0] {
+            let active: Vec<bool> = (0..n).map(|_| rng.gen_bool(slot_q)).collect();
+            let expected: Vec<bool> = (0..n)
+                .map(|i| {
+                    let row = gain.at_receiver(i);
+                    let mut interference = 0.0;
+                    for j in (0..n).filter(|&j| active[j] && j != i) {
+                        interference += sample_exponential(&mut fading, row[j]);
+                    }
+                    let signal = sample_exponential(&mut fading, row[i]);
+                    let denom = interference + params.noise;
+                    let sinr = if denom == 0.0 {
+                        if signal > 0.0 { f64::INFINITY } else { 0.0 }
+                    } else {
+                        signal / denom
+                    };
+                    sinr >= params.beta
+                })
+                .collect();
+            resolver.resolve(&active, &mut would_succeed);
+            prop_assert_eq!(&would_succeed, &expected);
+        }
     }
 }

@@ -9,7 +9,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayfade_core::{mix_seed, mix_seed2, NetworkEvaluator, RayleighModel};
+use rayfade_core::{active_senders, fading_verdicts, mix_seed, mix_seed2, NetworkEvaluator};
 use rayfade_sinr::{count_successes, GainMatrix, SinrParams};
 
 /// Draws one Bernoulli(q) activation mask.
@@ -51,14 +51,18 @@ pub fn rayleigh_success_curve_point(
     assert!(tx_seeds > 0 && fading_seeds > 0, "need at least one seed");
     let n = gain.len();
     let mut total = 0usize;
+    let mut verdicts = vec![false; n];
     for s in 0..tx_seeds {
         let mut rng = StdRng::seed_from_u64(mix_seed(seed_base, s));
-        let active = draw_activation(n, q, &mut rng);
+        let senders = active_senders(&draw_activation(n, q, &mut rng));
         for f in 0..fading_seeds {
-            // `mix_seed2` keeps the (s, f) grid collision-free — the old
-            // `base*φ + s*1e6+f` arithmetic could collide across bases.
-            let mut model = RayleighModel::new(gain.clone(), *params, mix_seed2(seed_base, s, f));
-            total += rayfade_sinr::SuccessModel::resolve_slot(&mut model, &active).len();
+            // One fresh fading stream per (s, f), seeded as a
+            // `RayleighModel` would be; `mix_seed2` keeps the grid
+            // collision-free. Idle links' verdicts are never counted, so
+            // the kernel skips their logarithms.
+            let mut fading = StdRng::seed_from_u64(mix_seed2(seed_base, s, f));
+            fading_verdicts(gain, params, &mut fading, &senders, &mut verdicts);
+            total += verdicts.iter().filter(|&&ok| ok).count();
         }
     }
     total as f64 / (tx_seeds * fading_seeds) as f64

@@ -33,9 +33,10 @@ pub trait SuccessModel {
 
     /// Achieved SINR of every link this slot, for data-rate utilities.
     ///
-    /// Deterministic models may compute this from the mask; stochastic
-    /// models draw one realization. The default resolves successes only
-    /// and is overridden by both provided models.
+    /// Deterministic models compute this from the mask; stochastic models
+    /// draw one realization. An idle link's entry is counterfactual: the
+    /// SINR it would have achieved transmitting against this slot's
+    /// active set. There is no default: every model implements it.
     fn resolve_sinrs(&mut self, active: &[bool]) -> Vec<f64>;
 }
 
