@@ -11,6 +11,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayfade_sinr::{GainMatrix, SinrParams, SuccessModel};
+use std::sync::OnceLock;
 
 /// Samples one exponential variate with the given mean using inverse-CDF:
 /// `-mean · ln(1 − U)`, `U ∈ [0, 1)`. A zero mean yields exactly zero.
@@ -82,6 +83,92 @@ fn skip_receiver<R: Rng + ?Sized>(rng: &mut R, row: &[f64], i: usize, senders: &
     }
 }
 
+/// Equal cells the bound table splits the uniform draw's range `[0, 1)`
+/// into.
+const CELLS: usize = 2048;
+
+/// Below this many senders (at most one interferer per receiver) a
+/// slot's active receivers skip the bound and take their exact draws
+/// directly: with at most one logarithm to save, the bound pass and the
+/// generator copy cost as much as they spare. Set by measurement on
+/// Figure 1 instances (DESIGN §4d).
+const BOUND_MIN_SENDERS: usize = 3;
+
+/// The smallest denominator bound the certified decision trusts: far
+/// above the subnormal range, so the absolute rounding error of
+/// underflowing products (≤ 2⁻¹⁰⁷⁵ per operation) is negligible against
+/// the relative padding (DESIGN §4d).
+const DENOM_FLOOR: f64 = 1e-270;
+
+/// Cell `c` holds `[lo, hi]` with `lo ≤ −ln(1 − u) ≤ hi` for every
+/// `u ∈ [c/CELLS, (c+1)/CELLS)`: the libm values at the cell edges,
+/// moved two ulps outward (libm's `ln` is within one ulp), and `+∞` as
+/// the last cell's upper bound.
+fn exp_bounds() -> &'static [[f64; 2]; CELLS] {
+    static TABLE: OnceLock<Box<[[f64; 2]; CELLS]>> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let edge = |c: usize| -(1.0 - c as f64 / CELLS as f64).ln();
+        let mut table = Box::new([[0.0; 2]; CELLS]);
+        for (c, cell) in table.iter_mut().enumerate() {
+            let lo = if c == 0 {
+                0.0
+            } else {
+                edge(c).next_down().next_down()
+            };
+            let hi = if c + 1 == CELLS {
+                f64::INFINITY
+            } else {
+                edge(c + 1).next_up().next_up()
+            };
+            *cell = [lo, hi];
+        }
+        table
+    })
+}
+
+/// Tries to decide active receiver `i`'s verdict `SINR_i ≥ beta` from
+/// bounds, consuming exactly the draws [`draw_receiver`] would: each
+/// interference draw is bracketed by its table cell instead of taking a
+/// logarithm, and the own signal is drawn exactly. `pad` is the relative
+/// padding `(k + 4)·2⁻⁵²` for `k` senders that makes the bracketed
+/// denominators enclose the one [`draw_receiver`] computes (DESIGN §4d).
+///
+/// `None` when the bounds straddle `beta` or a bound is zero, tiny or
+/// not finite; the caller then replays the receiver exactly.
+#[inline]
+fn bound_verdict<R: Rng + ?Sized>(
+    rng: &mut R,
+    row: &[f64],
+    i: usize,
+    senders: &[usize],
+    params: &SinrParams,
+    pad: f64,
+) -> Option<bool> {
+    let table = exp_bounds();
+    let (mut lo, mut hi) = (0.0, 0.0);
+    for &j in senders {
+        let mean = row[j];
+        if j != i && mean != 0.0 {
+            let u: f64 = rng.gen();
+            let [cell_lo, cell_hi] = table[(u * CELLS as f64) as usize];
+            lo += mean * cell_lo;
+            hi += mean * cell_hi;
+        }
+    }
+    let signal = sample_exponential(rng, row[i]);
+    let denom_lo = (lo + params.noise) * (1.0 - pad);
+    let denom_hi = (hi + params.noise) * (1.0 + pad);
+    // Correctly rounded division is monotone in the denominator, so
+    // `denom_lo ≤ D ≤ denom_hi` brackets the exact path's `signal / D`.
+    if (DENOM_FLOOR..f64::INFINITY).contains(&denom_hi) && signal / denom_hi >= params.beta {
+        Some(true)
+    } else if (DENOM_FLOOR..f64::INFINITY).contains(&denom_lo) && signal / denom_lo < params.beta {
+        Some(false)
+    } else {
+        None
+    }
+}
+
 /// The Rayleigh success-verdict kernel: draws one slot's fading
 /// realization over the expected gains `gain` and writes each link's
 /// verdict `SINR_i ≥ params.beta` into `verdicts`.
@@ -93,27 +180,55 @@ fn skip_receiver<R: Rng + ?Sized>(rng: &mut R, row: &[f64], i: usize, senders: &
 /// uses, so both leave `rng` in the same state.
 ///
 /// Idle receivers' verdicts are `false`: `rng` is advanced past their
-/// draws without taking a logarithm.
-pub fn fading_verdicts<R: Rng + ?Sized>(
+/// draws without taking a logarithm. An active receiver's verdict is
+/// decided from table bounds on its interference where they settle it,
+/// and otherwise from the exact draws replayed from a saved copy of
+/// `rng` — the same bits either way (DESIGN §4d).
+pub fn fading_verdicts<R: Rng + Clone>(
     gain: &GainMatrix,
     params: &SinrParams,
     rng: &mut R,
     senders: &[usize],
     verdicts: &mut [bool],
 ) {
+    counted_fading_verdicts(gain, params, rng, senders, verdicts);
+}
+
+/// [`fading_verdicts`], returning how many active receivers the bound
+/// decided without replaying their exact draws.
+pub(crate) fn counted_fading_verdicts<R: Rng + Clone>(
+    gain: &GainMatrix,
+    params: &SinrParams,
+    rng: &mut R,
+    senders: &[usize],
+    verdicts: &mut [bool],
+) -> usize {
     debug_assert_eq!(verdicts.len(), gain.len());
     debug_assert!(senders.windows(2).all(|w| w[0] < w[1]), "senders ascending");
+    let use_bound = senders.len() >= BOUND_MIN_SENDERS;
+    let pad = (senders.len() + 4) as f64 * f64::EPSILON;
+    let mut decided = 0;
     let mut next_sender = senders.iter().peekable();
     for (i, verdict) in verdicts.iter_mut().enumerate() {
         let active = next_sender.next_if_eq(&&i).is_some();
         let row = gain.at_receiver(i);
-        *verdict = if active {
-            draw_receiver(rng, row, i, senders, params.noise) >= params.beta
-        } else {
+        if !active {
             skip_receiver(rng, row, i, senders);
-            false
-        };
+            *verdict = false;
+            continue;
+        }
+        if use_bound {
+            let saved = rng.clone();
+            if let Some(ok) = bound_verdict(rng, row, i, senders, params, pad) {
+                *verdict = ok;
+                decided += 1;
+                continue;
+            }
+            *rng = saved;
+        }
+        *verdict = draw_receiver(rng, row, i, senders, params.noise) >= params.beta;
     }
+    decided
 }
 
 /// The stochastic Rayleigh-fading SINR model.
@@ -282,6 +397,7 @@ mod tests {
             shape in 0u8..4,
             q in 0.0f64..1.0,
             beta in 0.1f64..5.0,
+            pick in any::<usize>(),
         ) {
             let (gain, noise) = instance(n, seed, shape);
             let params = SinrParams { beta, noise, alpha: 2.0 };
@@ -294,11 +410,34 @@ mod tests {
             let mut verdicts = vec![false; n];
             for slot_q in [0.0, q, 1.0, q] {
                 let active: Vec<bool> = (0..n).map(|_| masks.gen_bool(slot_q)).collect();
+                let senders = active_senders(&active);
+                let before = reference.clone();
                 let sinrs = reference_sinrs(&mut reference, &gain, noise, &active);
+
+                // β at one active receiver's realized SINR and one ulp to
+                // either side: the bound straddles it, so the verdict comes
+                // from the replayed exact draws, exactly at the boundary.
+                if !senders.is_empty() {
+                    let at = sinrs[senders[pick % senders.len()]];
+                    for edge in [at, at.next_up(), at.next_down()] {
+                        let edge_params = SinrParams { beta: edge, ..params };
+                        let mut rng = before.clone();
+                        let decided = counted_fading_verdicts(
+                            &gain, &edge_params, &mut rng, &senders, &mut verdicts,
+                        );
+                        let expected: Vec<usize> =
+                            senders.iter().copied().filter(|&i| sinrs[i] >= edge).collect();
+                        prop_assert_eq!(active_senders(&verdicts), expected);
+                        prop_assert_eq!(peek(&rng), peek(&reference));
+                        if edge == at && at.is_finite() && at > 0.0 {
+                            prop_assert!(decided < senders.len(), "the boundary receiver replays");
+                        }
+                    }
+                }
                 let expected: Vec<usize> =
                     (0..n).filter(|&i| active[i] && sinrs[i] >= beta).collect();
 
-                fading_verdicts(&gain, &params, &mut kernel, &active_senders(&active), &mut verdicts);
+                fading_verdicts(&gain, &params, &mut kernel, &senders, &mut verdicts);
                 prop_assert_eq!(active_senders(&verdicts), expected.clone());
                 prop_assert_eq!(slot_model.resolve_slot(&active), expected);
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -309,6 +448,69 @@ mod tests {
                     prop_assert_eq!(peek(rng), next);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn bound_table_cells_enclose_the_exponential_quantile() {
+        let table = exp_bounds();
+        let quantile = |u: f64| -(1.0 - u).ln();
+        let mut rng = StdRng::seed_from_u64(5);
+        let width = 1.0 / CELLS as f64;
+        for (c, &[lo, hi]) in table.iter().enumerate() {
+            let start = c as f64 * width;
+            let end = start + width;
+            let interior = (0..16).map(|_| start + rng.gen::<f64>() * width);
+            for u in [start, end, end.next_down()].into_iter().chain(interior) {
+                let x = quantile(u);
+                assert!(
+                    lo <= x && x <= hi,
+                    "cell {c}: {x} at u = {u} outside [{lo}, {hi}]"
+                );
+            }
+            // Every draw `u` lands in the cell the kernel looks up.
+            assert_eq!((end.next_down() * CELLS as f64) as usize, c);
+        }
+        assert_eq!(table[CELLS - 1][1], f64::INFINITY);
+    }
+
+    #[test]
+    fn bound_decides_most_figure1_receivers() {
+        // The paper's Figure 1 instances under both powers: the bound
+        // must settle at least 90 % of active receivers at every density,
+        // or the replayed exact draws eat the saving.
+        use rayfade_geometry::PaperTopology;
+        use rayfade_sinr::PowerAssignment;
+        let params = SinrParams::figure1();
+        let powers = [
+            PowerAssignment::figure1_uniform(),
+            PowerAssignment::figure1_square_root(),
+        ];
+        for q in [0.1, 0.5, 1.0] {
+            let (mut active, mut decided) = (0, 0);
+            for seed in 0..4 {
+                let net = PaperTopology::figure1().generate(seed);
+                for power in &powers {
+                    let gain = GainMatrix::from_geometry(&net, power, params.alpha);
+                    let mut masks = StdRng::seed_from_u64(seed ^ 0x51);
+                    let mut fading = StdRng::seed_from_u64(seed ^ 0xfade);
+                    let mut verdicts = vec![false; gain.len()];
+                    for _ in 0..10 {
+                        let mask: Vec<bool> = (0..gain.len()).map(|_| masks.gen_bool(q)).collect();
+                        let senders = active_senders(&mask);
+                        active += senders.len();
+                        decided += counted_fading_verdicts(
+                            &gain,
+                            &params,
+                            &mut fading,
+                            &senders,
+                            &mut verdicts,
+                        );
+                    }
+                }
+            }
+            let frac = decided as f64 / active as f64;
+            assert!(frac >= 0.9, "q = {q}: bound decided {decided} of {active}");
         }
     }
 

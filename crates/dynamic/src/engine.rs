@@ -138,9 +138,7 @@ pub trait SlotResolver {
     /// [`observes_counterfactuals`](crate::OnlinePolicy::observes_counterfactuals)
     /// is `false`. Implementations may skip resolving idle links, but
     /// must still leave their entries `false` (never stale). The default
-    /// simply resolves everything; the Monte Carlo resolver keeps it so
-    /// its realized-fading stream stays bit-pinned to committed
-    /// artifacts.
+    /// simply resolves everything.
     fn resolve_active_only(&mut self, active: &[bool], would_succeed: &mut [bool]) {
         self.resolve(active, would_succeed);
     }
@@ -149,6 +147,11 @@ pub trait SlotResolver {
 /// The realized-fading resolver: samples the channel through a
 /// [`SuccessModel`] and thresholds the resulting SINRs — bit-identical
 /// to the historical engine loop.
+///
+/// Precondition: the β it resolves against is the model's own
+/// `params.beta` (the engine and perfbench both pass `cfg.params.beta`),
+/// so the model's [`SuccessModel::resolve_slot`] verdicts equal this
+/// resolver's thresholds on active links.
 pub struct MonteCarloResolver {
     model: Box<dyn SuccessModel>,
     beta: f64,
@@ -170,6 +173,18 @@ impl SlotResolver for MonteCarloResolver {
         let sinrs = self.model.resolve_sinrs(active);
         for (w, &s) in would_succeed.iter_mut().zip(&sinrs) {
             *w = s >= self.beta;
+        }
+    }
+
+    /// The model's own slot verdicts: every model consumes its stream in
+    /// `resolve_slot` exactly as in `resolve_sinrs`, so the next slot
+    /// sees the same realization either way, while the Rayleigh model
+    /// skips idle receivers' logarithms and decides most active ones
+    /// from bounds (DESIGN §4d).
+    fn resolve_active_only(&mut self, active: &[bool], would_succeed: &mut [bool]) {
+        would_succeed.fill(false);
+        for i in self.model.resolve_slot(active) {
+            would_succeed[i] = true;
         }
     }
 }

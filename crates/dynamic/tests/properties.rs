@@ -4,13 +4,13 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayfade_core::{sample_exponential, RayleighModel};
+use rayfade_core::{sample_exponential, NakagamiModel, RayleighModel};
 use rayfade_dynamic::{
     judge_cell, ArrivalProcess, DynamicConfig, DynamicEngine, MonteCarloResolver, PolicyKind,
     SlotModelKind, SlotResolver, SuccessModelKind,
 };
 use rayfade_geometry::PaperTopology;
-use rayfade_sinr::{GainMatrix, SinrParams};
+use rayfade_sinr::{GainMatrix, NonFadingModel, SinrParams, SuccessModel};
 
 fn config(links: usize, slots: u64, rate: f64, side: f64, seed: u64) -> DynamicConfig {
     DynamicConfig {
@@ -136,6 +136,52 @@ proptest! {
                 .collect();
             resolver.resolve(&active, &mut would_succeed);
             prop_assert_eq!(&would_succeed, &expected);
+        }
+    }
+
+    /// `MonteCarloResolver::resolve_active_only` under every success
+    /// model agrees with `resolve` on active links, clears idle entries,
+    /// and leaves the model's stream where `resolve` would: after each
+    /// active-only slot, a full `resolve` of a probe slot gives the same
+    /// verdicts, counterfactual ones included, on both resolvers.
+    #[test]
+    fn monte_carlo_active_only_matches_resolve(
+        n in 0usize..40,
+        seed in any::<u64>(),
+        q in 0.0f64..1.0,
+        kind in 0u8..3,
+        shape in 0.5f64..4.0,
+        zero_noise in any::<bool>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let g = (0..n * n)
+            .map(|_| if rng.gen_bool(0.2) { 0.0 } else { 10f64.powf(rng.gen_range(-3.0..3.0)) })
+            .collect();
+        let gain = GainMatrix::from_raw(n, g);
+        let params = SinrParams::new(2.0, 1.5, if zero_noise { 0.0 } else { 0.01 });
+        let model = || -> Box<dyn SuccessModel> {
+            match kind {
+                0 => Box::new(NonFadingModel::new(gain.clone(), params)),
+                1 => Box::new(RayleighModel::new(gain.clone(), params, seed)),
+                _ => Box::new(NakagamiModel::new(gain.clone(), params, shape, seed)),
+            }
+        };
+        let mut full = MonteCarloResolver::new(model(), params.beta);
+        let mut active_only = MonteCarloResolver::new(model(), params.beta);
+        let (mut expected, mut got) = (vec![false; n], vec![false; n]);
+        for slot_q in [q, 1.0, 0.0, q] {
+            let active: Vec<bool> = (0..n).map(|_| rng.gen_bool(slot_q)).collect();
+            full.resolve(&active, &mut expected);
+            got.fill(true);
+            active_only.resolve_active_only(&active, &mut got);
+            for i in 0..n {
+                prop_assert_eq!(got[i], active[i] && expected[i], "link {}", i);
+            }
+
+            let probe: Vec<bool> = (0..n).map(|_| rng.gen_bool(q)).collect();
+            full.resolve(&probe, &mut expected);
+            active_only.resolve(&probe, &mut got);
+            prop_assert_eq!(&got, &expected);
         }
     }
 }
