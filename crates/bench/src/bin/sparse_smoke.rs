@@ -12,18 +12,32 @@
 //!   `/proc/self/status` `VmHWM`, so it covers the whole process —
 //!   topology, grid, CSR, and transpose together).
 //!
+//! A second leg runs the dynamic engine at the same link count: one
+//! Rayleigh max-weight replication with analytic slots at
+//! `maxweight_10k`'s density (one link per 10⁶ square units,
+//! Bernoulli λ = 0.05), [`ENGINE_SLOTS`] slots. Its set-up builds the
+//! dense-equivalent sparse cache on the spatial grid; the leg reports
+//! the set-up time (a one-slot run), the wall time, the cache's nnz and
+//! how many receivers the sweep scanned in full. The RSS ceiling covers
+//! both legs.
+//!
 //! Artifacts: `sparse_smoke.csv` in `--out` (one row of build/eval
-//! statistics including peak RSS), plus the usual journal/metrics dumps
-//! under `--telemetry <dir>` — the builder journals a `sparse_ratios`
-//! event carrying δ and the certificate `τ_max`.
+//! statistics including peak RSS, then the engine leg's columns), plus
+//! the usual journal/metrics dumps under `--telemetry <dir>` — the
+//! builder journals a `sparse_ratios` event carrying δ and the
+//! certificate `τ_max`.
 //!
 //! `--quick` drops to 10 000 links at the same deployment density for a
 //! fast local sanity pass; CI runs the full size.
 
 use rayfade_bench::{telemetry_ref, Cli};
+use rayfade_core::{mix_seed2, DEFAULT_SPARSE_DELTA};
+use rayfade_dynamic::{
+    ArrivalProcess, DynamicConfig, DynamicEngine, PolicyKind, SlotModelKind, SuccessModelKind,
+};
 use rayfade_geometry::PaperTopology;
 use rayfade_sinr::{PowerAssignment, SinrParams, SparseSuccessAccumulator};
-use rayfade_spatial::build_sparse_ratios_stats;
+use rayfade_spatial::{build_dense_equivalent_ratios, build_sparse_ratios_stats};
 use std::time::Instant;
 
 /// Peak-RSS ceiling for the full run: 256 MB, a few times the measured
@@ -44,6 +58,33 @@ const DELTA: f64 = 1e-2;
 
 /// Uniform transmission probability used for the evaluation pass.
 const Q: f64 = 0.5;
+
+/// Slots of the engine leg's replication.
+const ENGINE_SLOTS: u64 = 20;
+
+/// The engine leg: one loaded Rayleigh max-weight replication with
+/// analytic slots at one link per 10⁶ square units (`maxweight_10k`'s
+/// deployment, scaled to `links`).
+fn engine_config(links: usize, slots: u64) -> DynamicConfig {
+    DynamicConfig {
+        links,
+        networks: 1,
+        slots,
+        arrival: ArrivalProcess::Bernoulli { rate: 0.05 },
+        policy: PolicyKind::RayleighMaxWeight,
+        model: SuccessModelKind::Rayleigh,
+        slot_model: SlotModelKind::Analytic,
+        topology: PaperTopology {
+            links,
+            side: (links as f64 * 1e6).sqrt(),
+            min_length: 20.0,
+            max_length: 40.0,
+        },
+        params: SinrParams::new(4.0, 2.5, 4e-7),
+        sample_every: 1,
+        seed: 0x51e5,
+    }
+}
 
 /// Peak resident-set size of this process in bytes (`VmHWM`), or `None`
 /// off Linux / if the field is missing.
@@ -92,6 +133,31 @@ fn main() {
     let (lo, hi) = acc.expected_successes_interval(&ratios);
     let eval_ms = start.elapsed().as_secs_f64() * 1e3;
 
+    assert_eq!(ratios.len(), links);
+    let nnz = ratios.nnz();
+    drop((acc, net, ratios));
+
+    // Engine leg. Set-up is timed as a one-slot run; nnz and full scans
+    // come from the cache the engine builds, rebuilt on its network
+    // (topology stream 1 of replication 0).
+    let cfg = engine_config(links, ENGINE_SLOTS);
+    let start = Instant::now();
+    DynamicEngine::new(engine_config(links, 1)).run_network(0);
+    let engine_setup_s = start.elapsed().as_secs_f64();
+    let start = Instant::now();
+    let outcome = DynamicEngine::new(cfg.clone()).run_network(0);
+    let engine_wall_s = start.elapsed().as_secs_f64();
+    let engine_net = cfg.topology.generate(mix_seed2(cfg.seed, 1, 0));
+    let (engine_cache, engine_stats) =
+        build_dense_equivalent_ratios(&engine_net, &power, &cfg.params, DEFAULT_SPARSE_DELTA);
+    let engine_nnz = engine_cache.nnz();
+    drop((engine_net, engine_cache));
+    assert!(
+        outcome.throughput_per_link > 0.0 && outcome.throughput_per_link.is_finite(),
+        "engine leg delivered nothing: throughput {}",
+        outcome.throughput_per_link
+    );
+
     let peak_rss = peak_rss_bytes();
     let dense_bytes = (links as f64) * (links as f64) * 8.0;
     println!(
@@ -99,6 +165,8 @@ fn main() {
          \x20 gen {gen_ms:.0} ms | build {build_ms:.0} ms | eval {eval_ms:.0} ms\n\
          \x20 examined {} | retained {} (nnz) | truncated {} | tau_max {:.3e}\n\
          \x20 E[successes] in [{lo:.3}, {hi:.3}] (width {:.3e})\n\
+         \x20 engine: {ENGINE_SLOTS} slots | set-up {engine_setup_s:.2} s | wall \
+         {engine_wall_s:.2} s | nnz {engine_nnz} | full scans {} | throughput/link {:.4}\n\
          \x20 peak RSS {} | dense ratio matrix would need {:.0} GB",
         topology.side,
         stats.examined,
@@ -106,6 +174,8 @@ fn main() {
         stats.truncated,
         stats.tau_max,
         hi - lo,
+        engine_stats.full_scans,
+        outcome.throughput_per_link,
         peak_rss.map_or_else(
             || "unavailable".to_string(),
             |b| format!("{:.2} GB", b as f64 / 1e9)
@@ -118,16 +188,14 @@ fn main() {
         lo.is_finite() && hi.is_finite() && 0.0 <= lo && lo <= hi && hi <= links as f64,
         "malformed expected-successes interval [{lo:e}, {hi:e}]"
     );
-    assert_eq!(ratios.len(), links);
     assert!(
         stats.tau_max <= rayfade_sinr::truncation_budget(DELTA),
         "certificate {} exceeds the requested budget",
         stats.tau_max
     );
     // The whole point: the retained pair set must be genuinely sparse.
-    let nnz = ratios.nnz() as f64;
     assert!(
-        nnz < dense_bytes / 8.0 / 100.0,
+        (nnz as f64) < dense_bytes / 8.0 / 100.0,
         "cache is not sparse: nnz = {nnz} at n = {links}"
     );
     if let Some(bytes) = peak_rss {
@@ -144,15 +212,18 @@ fn main() {
     let csv_path = cli.csv_path("sparse_smoke.csv");
     let csv = format!(
         "links,side,delta,q,gen_ms,build_ms,eval_ms,examined,retained,truncated,tau_max,\
-         expected_lo,expected_hi,peak_rss_bytes\n\
+         expected_lo,expected_hi,peak_rss_bytes,engine_slots,engine_setup_s,engine_wall_s,\
+         engine_nnz,engine_full_scans\n\
          {links},{:.0},{DELTA},{Q},{gen_ms:.3},{build_ms:.3},{eval_ms:.3},{},{},{},{:.6e},\
-         {lo:.6},{hi:.6},{}\n",
+         {lo:.6},{hi:.6},{},{ENGINE_SLOTS},{engine_setup_s:.4},{engine_wall_s:.4},{engine_nnz},\
+         {}\n",
         topology.side,
         stats.examined,
         stats.retained,
         stats.truncated,
         stats.tau_max,
         peak_rss.map_or_else(|| "NA".to_string(), |b| b.to_string()),
+        engine_stats.full_scans,
     );
     std::fs::write(&csv_path, csv)
         .unwrap_or_else(|e| panic!("cannot write {}: {e}", csv_path.display()));

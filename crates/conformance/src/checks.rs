@@ -36,6 +36,7 @@ use rayfade_sinr::{
     spectral_report, AccumMode, Affectance, AmortizedAccumulator, GainMatrix, PowerAssignment,
     SinrParams, SparseInterferenceRatios, SparseSuccessAccumulator,
 };
+use rayfade_spatial::build_dense_equivalent_ratios;
 
 /// Absolute tolerance floor of every comparison (see module docs).
 pub const ABS_TOL: f64 = 1e-12;
@@ -681,10 +682,12 @@ fn sparse_truncation(inst: &Instance) -> Result<(), String> {
             delta,
         ))
     })?;
-    // The dynamic engine builds its scale cache straight from geometry.
-    // A companion deployment of the instance's size, seeded by the
-    // instance, must give the cache `from_gain` gives on its dense gains,
-    // and that cache must pass the same certificate.
+    // The dynamic engine builds its scale cache on the spatial grid, with
+    // the dense-equivalent stop rule. On a companion deployment of the
+    // instance's size, seeded by the instance, that cache must keep the
+    // pairs, ratios, noise factors and signals `from_gain` keeps on its
+    // dense gains, field by field, with each τᵢ between the dense exact
+    // dropped mass and τ, and must pass the same certificate.
     let n = inst.gain.len();
     if n == 0 {
         return Ok(());
@@ -697,15 +700,17 @@ fn sparse_truncation(inst: &Instance) -> Result<(), String> {
     let power = PowerAssignment::figure1_uniform();
     let gain = GainMatrix::from_geometry(&net, &power, inst.params.alpha);
     certify_sparse(&gain, &inst.params, &probs, |delta| {
-        let built = SparseInterferenceRatios::from_geometry(&net, &power, &inst.params, delta);
-        ensure!(
-            built == SparseInterferenceRatios::from_gain(&gain, &inst.params, delta),
-            "delta {delta}: from_geometry cache differs from from_gain on the \
-             companion deployment"
-        );
+        let (built, _) = build_dense_equivalent_ratios(&net, &power, &inst.params, delta);
+        built
+            .check_dense_equivalent(&SparseInterferenceRatios::from_gain(
+                &gain,
+                &inst.params,
+                delta,
+            ))
+            .map_err(|e| format!("delta {delta}: not dense-equivalent to from_gain: {e}"))?;
         Ok(built)
     })
-    .map_err(|e| format!("geometry-built cache: {e}"))
+    .map_err(|e| format!("grid-built cache: {e}"))
 }
 
 /// Checks the sparse caches `build(δ)` of `gain` against the dense

@@ -1,16 +1,19 @@
-//! Bit-identity of the geometry-built sparse cache at the sizes where the
-//! dynamic engine uses it: from the sparse crossover up, and at the
+//! Dense equivalence of the grid-built sparse cache at the sizes where
+//! the dynamic engine uses it: from the sparse crossover up, and at the
 //! default truncation bound as well as `δ = 0`.
 //!
-//! `SparseInterferenceRatios::from_geometry` must equal
-//! `from_gain(&GainMatrix::from_geometry(..))` as a whole struct — every
-//! retained pair, `τ`, noise factor and signal — at any pool size. The
-//! engine builds its cache the first way; the gain-based constructors
-//! every replay and reference uses build it the second.
+//! `rayfade_spatial::build_dense_equivalent_ratios` must keep every
+//! retained pair, `ρ`, noise factor and signal of
+//! `from_gain(&GainMatrix::from_geometry(..))` bit for bit, with each
+//! certificate `τᵢ` between the dense cache's exact dropped mass and `τ`
+//! (the whole struct at `δ = 0`), at any pool size. The engine builds its
+//! cache the first way; the gain-based constructors every replay and
+//! reference uses build it the second.
 
 use rayfade_core::{DEFAULT_SPARSE_DELTA, SPARSE_CROSSOVER};
 use rayfade_geometry::PaperTopology;
 use rayfade_sinr::{GainMatrix, PowerAssignment, SinrParams, SparseInterferenceRatios};
+use rayfade_spatial::build_dense_equivalent_ratios;
 
 fn at_pool_size<R>(threads: usize, op: impl FnOnce() -> R) -> R {
     rayon::ThreadPoolBuilder::new()
@@ -21,7 +24,7 @@ fn at_pool_size<R>(threads: usize, op: impl FnOnce() -> R) -> R {
 }
 
 #[test]
-fn from_geometry_equals_from_gain_at_and_above_the_crossover() {
+fn grid_build_is_dense_equivalent_at_and_above_the_crossover() {
     let power = PowerAssignment::figure1_uniform();
     for n in [SPARSE_CROSSOVER, SPARSE_CROSSOVER + 1] {
         // The dynamic engine's scale density: one link per 10⁶ square
@@ -42,14 +45,18 @@ fn from_geometry_equals_from_gain_at_and_above_the_crossover() {
                     assert!(want.nnz() < n * (n - 1) / 100, "the cache must be sparse");
                 }
                 for threads in [1, 4] {
-                    let got = at_pool_size(threads, || {
-                        SparseInterferenceRatios::from_geometry(&net, &power, &params, delta)
+                    let (got, stats) = at_pool_size(threads, || {
+                        build_dense_equivalent_ratios(&net, &power, &params, delta)
                     });
-                    assert!(
-                        got == want,
-                        "n {n}, alpha {alpha}, delta {delta}, {threads} threads: \
-                         from_geometry differs from from_gain"
-                    );
+                    let context = format!("n {n}, alpha {alpha}, delta {delta}, {threads} threads");
+                    if let Err(e) = got.check_dense_equivalent(&want) {
+                        panic!("{context}: {e}");
+                    }
+                    if delta == 0.0 {
+                        assert!(got == want, "{context}: caches differ as structs");
+                    } else if alpha == 4.0 {
+                        assert_eq!(stats.full_scans, 0, "{context}: rows must stop early");
+                    }
                 }
             }
         }

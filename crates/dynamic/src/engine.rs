@@ -25,8 +25,11 @@
 //! a consumer reads it: the Monte Carlo resolver, [`QueueMaxWeight`], or
 //! anything below [`SPARSE_CROSSOVER`] links. Above the crossover the
 //! analytic resolver and [`RayleighMaxWeight`] share one certified sparse
-//! cache, built straight from geometry — bit-equal to the cache each
-//! would build from the dense matrix.
+//! cache, built on the spatial grid by the dense-equivalent ring sweep
+//! (`rayfade_spatial::build_dense_equivalent_ratios`): its rows, noise
+//! and signal are bit-equal to the cache each would build from the dense
+//! matrix, so every outcome is too (only the certificates `τᵢ`, which no
+//! dynamic consumer reads, may be wider).
 
 use crate::arrivals::{ArrivalProcess, ArrivalSample};
 use crate::policy::{
@@ -44,6 +47,7 @@ use rayfade_geometry::{Network, PaperTopology};
 use rayfade_sinr::{
     GainMatrix, NonFadingModel, PowerAssignment, SinrParams, SparseInterferenceRatios, SuccessModel,
 };
+use rayfade_spatial::build_dense_equivalent_ratios;
 use rayfade_telemetry::trace::{self, SpanId};
 use rayfade_telemetry::{HealthMonitor, HealthReport, MonitorConfig, Telemetry};
 use rayon::prelude::*;
@@ -806,12 +810,9 @@ impl Caches {
             || (!large && (analytic || rayleigh_policy));
         let gain = dense.then(|| GainMatrix::from_geometry(network, &power, cfg.params.alpha));
         let sparse = (large && (analytic || rayleigh_policy)).then(|| {
-            Arc::new(SparseInterferenceRatios::from_geometry(
-                network,
-                &power,
-                &cfg.params,
-                DEFAULT_SPARSE_DELTA,
-            ))
+            let (ratios, _) =
+                build_dense_equivalent_ratios(network, &power, &cfg.params, DEFAULT_SPARSE_DELTA);
+            Arc::new(ratios)
         });
         Caches { gain, sparse }
     }

@@ -2,9 +2,10 @@
 //!
 //! At and above `SPARSE_CROSSOVER` the engine builds no dense gain
 //! matrix for `RayleighMaxWeight` + `SlotModelKind::Analytic`: one sparse
-//! cache, built from geometry, is shared by the policy and the resolver.
-//! This test replays a crossover-size replication the way an external
-//! caller would — `GainMatrix::from_geometry`, `RayleighMaxWeight::new`,
+//! cache, built on the spatial grid by the dense-equivalent ring sweep,
+//! is shared by the policy and the resolver. This test replays
+//! replications at and just above the crossover, on two seeds, the way
+//! an external caller would — `GainMatrix::from_geometry`, `RayleighMaxWeight::new`,
 //! `AnalyticResolver::new`, the engine's documented seeding and slot
 //! order — and requires the outcome to equal `DynamicEngine::run_network`
 //! bit for bit.
@@ -20,10 +21,9 @@ use rayfade_dynamic::{
 use rayfade_geometry::PaperTopology;
 use rayfade_sinr::{GainMatrix, PowerAssignment, SinrParams};
 
-/// A crossover-size, loaded Rayleigh max-weight replication at the
+/// A loaded Rayleigh max-weight replication of `links` links at the
 /// engine's scale density (one link per 10⁶ square units).
-fn crossover_config() -> DynamicConfig {
-    let links = SPARSE_CROSSOVER;
+fn crossover_config(links: usize, seed: u64) -> DynamicConfig {
     DynamicConfig {
         links,
         networks: 1,
@@ -40,7 +40,7 @@ fn crossover_config() -> DynamicConfig {
         },
         params: SinrParams::new(4.0, 2.5, 4e-7),
         sample_every: 4,
-        seed: 0x5ca1e,
+        seed,
     }
 }
 
@@ -139,11 +139,18 @@ fn replay(cfg: &DynamicConfig, net: u64) -> DynamicOutcome {
 
 #[test]
 fn crossover_replication_matches_the_gain_based_constructors() {
-    let cfg = crossover_config();
-    let engine = DynamicEngine::new(cfg.clone()).run_network(0);
-    assert!(
-        engine.throughput_per_link > 0.0,
-        "the replication must deliver"
-    );
-    assert_eq!(engine, replay(&cfg, 0));
+    for links in [SPARSE_CROSSOVER, SPARSE_CROSSOVER + 1] {
+        for seed in [0x5ca1e, 0xd15ea5e] {
+            let cfg = crossover_config(links, seed);
+            let engine = DynamicEngine::new(cfg.clone()).run_network(0);
+            assert!(
+                engine.throughput_per_link > 0.0,
+                "{links} links, seed {seed:#x}: the replication must deliver"
+            );
+            assert!(
+                engine == replay(&cfg, 0),
+                "{links} links, seed {seed:#x}: the engine differs from the replay"
+            );
+        }
+    }
 }

@@ -41,8 +41,14 @@ impl GainMatrix {
         let n = geometry.len();
         let powers = power.powers(geometry, alpha);
         let mut g = vec![0.0; n * n];
-        for i in 0..n {
-            geometry_row(geometry, &powers, alpha, i, &mut g[i * n..(i + 1) * n]);
+        for (i, row) in g.chunks_exact_mut(n.max(1)).enumerate() {
+            for (j, slot) in row.iter_mut().enumerate() {
+                let d = geometry.cross_dist(j, i);
+                assert!(d > 0.0, "cross distance d(s_{j}, r_{i}) must be positive");
+                let v = powers[j] / d.powf(alpha);
+                assert!(v.is_finite(), "gain S({j},{i}) must be finite");
+                *slot = v;
+            }
         }
         GainMatrix { n, g }
     }
@@ -113,30 +119,6 @@ impl GainMatrix {
     #[inline]
     pub fn feasible_alone(&self, i: usize, params: &SinrParams) -> bool {
         self.signal(i) >= params.beta * params.noise
-    }
-}
-
-/// Fills `row[j] = S̄_{j,i} = p_j / d(s_j, r_i)^α` for receiver `i` — the
-/// one gain formula behind [`GainMatrix::from_geometry`] and
-/// [`SparseInterferenceRatios::from_geometry`](crate::SparseInterferenceRatios::from_geometry),
-/// which therefore agree bit for bit.
-///
-/// # Panics
-/// If a cross distance is zero or a gain is non-finite (see
-/// [`GainMatrix::from_geometry`]).
-pub(crate) fn geometry_row<G: LinkGeometry>(
-    geometry: &G,
-    powers: &[f64],
-    alpha: f64,
-    i: usize,
-    row: &mut [f64],
-) {
-    for (j, slot) in row.iter_mut().enumerate() {
-        let d = geometry.cross_dist(j, i);
-        assert!(d > 0.0, "cross distance d(s_{j}, r_{i}) must be positive");
-        let v = powers[j] / d.powf(alpha);
-        assert!(v.is_finite(), "gain S({j},{i}) must be finite");
-        *slot = v;
     }
 }
 

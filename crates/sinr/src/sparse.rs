@@ -44,20 +44,20 @@
 //! pushes candidate ratios, and the driver truncates them, column-sorts
 //! the survivors and assembles the CSR.
 //! [`SparseInterferenceRatios::from_gain`] reads the rows of a dense
-//! [`GainMatrix`]; [`SparseInterferenceRatios::from_geometry`] computes the
-//! same rows straight from geometry and never holds more than one dense
-//! row per task. Both use one dense row kernel, so their caches are equal
-//! bit for bit. The ring-sweep builder in the `rayfade-spatial` crate
-//! pushes only the senders near each receiver and reserves a bound for
-//! the rest, which is faster but yields a (certified) different
-//! truncation.
+//! [`GainMatrix`]: the dense reference, and the constructor of every
+//! gain-based replay. The ring-sweep builders in the `rayfade-spatial`
+//! crate push only the senders near each receiver and reserve a bound
+//! for the rest. Their certified stop rule yields a different, equally
+//! certified truncation; their dense-equivalent stop rule sweeps on until
+//! [`truncation_decided`] proves that the whole row would keep the same
+//! entries, so its rows, noise and signal equal `from_gain`'s bit for bit
+//! and only the certificates `τᵢ` differ (each between the exact dropped
+//! mass and `τ`).
 
-use crate::gain::{geometry_row, GainMatrix};
+use crate::gain::GainMatrix;
 use crate::params::SinrParams;
-use crate::power::PowerAssignment;
 use crate::ratio::kahan_sum;
 use crate::spectral::SpectralReport;
-use rayfade_geometry::LinkGeometry;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -122,6 +122,78 @@ fn truncate_smallest(entries: &mut Vec<(u32, f64)>, budget: f64, bits: &mut Vec<
     }
     entries.clear();
     dropped_mass
+}
+
+/// Decides, from the examined part of a row alone, what the truncation
+/// of the *whole* row keeps, when the unexamined senders carry log-mass
+/// at most `exterior` and each of their ratios is at most
+/// `exterior_rho`.
+///
+/// `entries` are the examined candidates (as for the row driver),
+/// `budget` is `τ` and `terms` bounds the whole row's length. Returns
+/// `Some(reserved)` when dropping the smallest examined entries within
+/// `budget − reserved` keeps exactly the entries that dropping the
+/// smallest of the whole row within `budget` keeps, and
+/// `dropped + reserved` lies between the whole row's dropped mass and
+/// `budget`; `None` when the examined entries do not decide that yet.
+///
+/// With `M = (terms + 4)·2⁻⁵²·τ` (a bound on the rounding of any prefix
+/// sum of the whole row), `reserved = exterior + M`, `F_k` the float
+/// prefix sums of the sorted examined masses and `d` the number of them
+/// within `τ − reserved`, the row is decided when `F_d + reserved ≤ τ`
+/// and either every examined entry goes or `F_{d+1} > τ + M`. The kept
+/// set then does not change whether the unexamined mass is 0 or
+/// `exterior`, and the first kept mass exceeds `exterior`, so every
+/// unexamined entry (each of mass at most `exterior`) sorts before it.
+/// DESIGN §4b has the proof. `exterior_rho` only speeds up rejection
+/// (see the pre-check below). `bits` is a sort buffer reused across
+/// calls.
+pub fn truncation_decided(
+    entries: &[(u32, f64)],
+    budget: f64,
+    exterior: f64,
+    exterior_rho: f64,
+    terms: usize,
+    bits: &mut Vec<u64>,
+) -> Option<f64> {
+    // The margin's proof needs terms²·2⁻⁵³ ≪ 1.
+    if budget <= 0.0 || terms > 1 << 24 {
+        return None;
+    }
+    let margin = (terms + 4) as f64 * f64::EPSILON * budget;
+    let reserved = exterior + margin;
+    // The row driver's budget, bit for bit.
+    let lo = budget - reserved;
+    if lo.is_nan() || lo < 0.0 {
+        return None;
+    }
+    // A pre-check without the sort: in a decided row the first kept
+    // entry's mass exceeds `exterior`, so every entry of mass within
+    // `exterior` (any ρ ≤ exterior/(1 + exterior)) goes, and their
+    // ratios (each at most its mass) must fit within `lo` up to
+    // rounding. Requiring the same of the entries up to `exterior_rho`
+    // is implied when an unexamined ratio attains that bound and merely
+    // conservative otherwise; rejecting only delays a row's stop. Rows
+    // that end in a full scan mostly fail here, at O(1) per entry.
+    let small = exterior_rho.max(exterior / (1.0 + exterior));
+    let small_sum: f64 = entries.iter().map(|e| e.1).filter(|&r| r <= small).sum();
+    if small_sum > lo + margin {
+        return None;
+    }
+    bits.clear();
+    bits.extend(entries.iter().map(|e| e.1.to_bits()));
+    bits.sort_unstable();
+    let mut dropped = 0.0f64;
+    for &cut in bits.iter() {
+        let mass = -(-f64::from_bits(cut)).ln_1p();
+        let tentative = dropped + mass;
+        if tentative > lo {
+            let decided = tentative > budget + margin;
+            return (decided && dropped + reserved <= budget).then_some(reserved);
+        }
+        dropped = tentative;
+    }
+    (dropped + reserved <= budget).then_some(reserved)
 }
 
 /// Rows handed to one pool task by the row-parallel driver
@@ -355,8 +427,6 @@ impl SparseInterferenceRatios {
     /// `delta = 0` retains every nonzero ratio (bit-equal to the dense
     /// cache). O(n² log n) — the point of this entry is the downstream
     /// O(nnz) evaluation, plus validation against the dense path.
-    /// [`from_geometry`](Self::from_geometry) builds the same cache
-    /// without the dense matrix.
     ///
     /// # Panics
     /// If `delta` is outside `[0, 1)`.
@@ -368,32 +438,6 @@ impl SparseInterferenceRatios {
             || (),
             |i, (), entries| dense_row(gain.at_receiver(i), i, params, entries),
         )
-        .0
-    }
-
-    /// Builds the truncated cache straight from geometry:
-    /// `from_geometry(g, power, params, δ)` equals
-    /// `from_gain(&GainMatrix::from_geometry(g, power, params.alpha), params, δ)`
-    /// bit for bit, but each receiver's dense gain row is computed on the
-    /// fly, so memory stays O(nnz + n · threads) instead of O(n²). Same
-    /// O(n² log n) time, with rows in parallel on the pool.
-    ///
-    /// # Panics
-    /// If `delta` is outside `[0, 1)`, or any cross distance is zero or
-    /// any gain non-finite (as in [`GainMatrix::from_geometry`]).
-    pub fn from_geometry<G: LinkGeometry + Sync>(
-        geometry: &G,
-        power: &PowerAssignment,
-        params: &SinrParams,
-        delta: f64,
-    ) -> Self {
-        let n = geometry.len();
-        let powers = power.powers(geometry, params.alpha);
-        let scratch = || vec![0.0; n];
-        Self::from_row_kernel(n, params.beta, delta, scratch, |i, gains, entries| {
-            geometry_row(geometry, &powers, params.alpha, i, gains);
-            dense_row(gains, i, params, entries)
-        })
         .0
     }
 
@@ -423,20 +467,32 @@ impl SparseInterferenceRatios {
         kernel: impl Fn(usize, &mut S, &mut Vec<(u32, f64)>) -> RowHead + Sync,
     ) -> (Self, RowCounts) {
         let budget = truncation_budget(delta);
-        let tasks: Vec<usize> = (0..n).step_by(ROWS_PER_TASK).collect();
+        // Each task's output is allocated here, on the calling thread,
+        // which also frees it after assembly. A small block allocated by a
+        // pool thread and freed here would enter this thread's allocator
+        // cache, and a `Vec` later grown from it stays in the pool
+        // thread's heap (glibc arenas); the dynamic engine's slot loop,
+        // which runs on the calling thread, then spread over two heaps
+        // (measured: up to +3 MB peak RSS on `maxweight_10k`). Growth
+        // reallocates within the block's own heap, so one reserved entry
+        // suffices.
+        let tasks: Vec<(usize, Chunk)> = (0..n)
+            .step_by(ROWS_PER_TASK)
+            .map(|start| {
+                let chunk = Chunk {
+                    rows: Vec::with_capacity(ROWS_PER_TASK.min(n - start)),
+                    entries: Vec::with_capacity(1),
+                    ..Chunk::default()
+                };
+                (start, chunk)
+            })
+            .collect();
         let chunks: Vec<Chunk> = tasks
             .into_par_iter()
-            .map(|start| {
+            .map(|(start, mut chunk)| {
                 let mut state = scratch();
                 let (mut entries, mut bits) = (Vec::new(), Vec::new());
                 let rows = start..n.min(start + ROWS_PER_TASK);
-                // The row table is reserved before the candidate buffers
-                // grow, so it does not fragment the heap between them
-                // (measured: +0.3 MB peak RSS on `maxweight_10k` without).
-                let mut chunk = Chunk {
-                    rows: Vec::with_capacity(rows.len()),
-                    ..Chunk::default()
-                };
                 for i in rows {
                     entries.clear();
                     let head = kernel(i, &mut state, &mut entries);
@@ -578,6 +634,40 @@ impl SparseInterferenceRatios {
     /// instance).
     pub fn tau_max(&self) -> f64 {
         self.tau.iter().copied().fold(0.0, f64::max)
+    }
+
+    /// Checks that `self` is dense-equivalent to `dense` (a cache built
+    /// by [`from_gain`](Self::from_gain)): the same `β`, `δ`, retained
+    /// pairs, `ρ`, noise factors and signals bit for bit, and every
+    /// certificate `τᵢ` between `dense`'s exact dropped mass and
+    /// `τ = −ln(1−δ)`. The error names the first differing field.
+    pub fn check_dense_equivalent(&self, dense: &Self) -> Result<(), String> {
+        if self.n != dense.n
+            || self.beta.to_bits() != dense.beta.to_bits()
+            || self.delta.to_bits() != dense.delta.to_bits()
+        {
+            return Err("link count, beta or delta differ".to_string());
+        }
+        let budget = truncation_budget(self.delta);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for i in 0..self.n {
+            let ((cols, rhos), (want_cols, want_rhos)) = (self.row(i), dense.row(i));
+            if cols != want_cols || bits(rhos) != bits(want_rhos) {
+                return Err(format!("row {i} differs"));
+            }
+            if self.noise[i].to_bits() != dense.noise[i].to_bits()
+                || self.signal[i].to_bits() != dense.signal[i].to_bits()
+            {
+                return Err(format!("noise or signal of link {i} differs"));
+            }
+            if !(dense.tau[i] <= self.tau[i] && self.tau[i] <= budget) {
+                return Err(format!(
+                    "tau({i}) = {:e} outside [{:e}, {budget:e}]",
+                    self.tau[i], dense.tau[i]
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -1300,29 +1390,60 @@ mod tests {
             proptest::prop_assert_eq!(reversed_mass.to_bits(), fast_mass.to_bits());
             proptest::prop_assert_eq!(reversed, fast);
         }
-    }
 
-    #[test]
-    fn from_geometry_equals_from_gain_of_the_dense_matrix() {
-        use rayfade_geometry::PaperTopology;
-        let net = PaperTopology {
-            links: 150,
-            side: 600.0,
-            min_length: 10.0,
-            max_length: 30.0,
-        }
-        .generate(11);
-        for power in [
-            PowerAssignment::figure1_uniform(),
-            PowerAssignment::figure1_square_root(),
-        ] {
-            for (alpha, delta) in [(2.2, 0.0), (4.0, 1e-3), (3.0, 0.2)] {
-                let p = SinrParams::new(alpha, 1.5, 1e-3);
-                let dense = GainMatrix::from_geometry(&net, &power, alpha);
-                assert_eq!(
-                    SparseInterferenceRatios::from_geometry(&net, &power, &p, delta),
-                    SparseInterferenceRatios::from_gain(&dense, &p, delta),
-                    "alpha {alpha}, delta {delta}"
+        /// Some of a row's smaller entries held back as the unexamined
+        /// part, their mass bounded either tightly (the float sum widened
+        /// by its rounding bound) or loosely: whenever `truncation_decided` decides on the rest,
+        /// truncating the rest within `budget − reserved` keeps exactly
+        /// what truncating the whole row within `budget` keeps, and the
+        /// certificate lies between the whole row's dropped mass and
+        /// `budget`.
+        #[test]
+        fn truncation_decided_agrees_with_the_whole_row(
+            picks in proptest::collection::vec((0u32..8, 0.0f64..1.0, proptest::arbitrary::any::<bool>()), 1..80),
+            window in 0usize..80,
+            budget_exp in -6.0f64..0.0,
+            slack in 0.0f64..1.0,
+        ) {
+            let palette = [1e-7, 1e-4, 1e-3, 0.25];
+            let mut whole: Vec<(u32, f64, bool)> = picks
+                .iter()
+                .enumerate()
+                .map(|(j, &(k, u, held))| {
+                    let rho = palette.get(k as usize).copied().unwrap_or(10f64.powf(-8.0 * u));
+                    (j as u32, rho, held)
+                })
+                .collect();
+            whole.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+            let (held, examined): (Vec<_>, Vec<_>) =
+                whole.iter().enumerate().partition(|(rank, e)| *rank < window && e.2);
+            let strip = |v: Vec<(usize, &(u32, f64, bool))>| -> Vec<(u32, f64)> {
+                v.into_iter().map(|(_, e)| (e.0, e.1)).collect()
+            };
+            let (held, examined) = (strip(held), strip(examined));
+            let mut whole: Vec<(u32, f64)> = whole.iter().map(|e| (e.0, e.1)).collect();
+            let n = whole.len();
+            let held_mass: f64 = held.iter().map(|e| -(-e.1).ln_1p()).sum();
+            let exterior = if slack < 0.5 {
+                held_mass * (1.0 + (n + 1) as f64 * f64::EPSILON)
+            } else {
+                held_mass * (1.0 + slack)
+            };
+            let budget = 10f64.powf(budget_exp);
+            let bits = &mut Vec::new();
+            let rho_hat = held.iter().map(|e| e.1).fold(0.0, f64::max);
+            let decided = truncation_decided(&examined, budget, exterior, rho_hat, n, bits);
+            if let Some(reserved) = decided {
+                let whole_dropped = truncate_smallest(&mut whole, budget, bits);
+                let mut kept = examined;
+                let dropped = truncate_smallest(&mut kept, budget - reserved, bits);
+                kept.sort_unstable_by_key(|e| e.0);
+                whole.sort_unstable_by_key(|e| e.0);
+                proptest::prop_assert_eq!(kept, whole);
+                let tau = dropped + reserved;
+                proptest::prop_assert!(
+                    whole_dropped <= tau && tau <= budget,
+                    "tau {:e} outside [{:e}, {:e}]", tau, whole_dropped, budget
                 );
             }
         }

@@ -35,6 +35,29 @@
 //! `[p·e^{−τᵢ}, p]` (see `rayfade_sinr::sparse`). `δ = 0` forces a full
 //! scan and reproduces the dense cache exactly.
 //!
+//! # Two stop rules
+//!
+//! * **Certified** ([`build_sparse_ratios`] and its variants): stop at the
+//!   first ring with `B ≤ τ/2`. The kept set may differ from the dense
+//!   row's, which would spend the whole budget on the examined senders.
+//! * **Dense-equivalent** ([`build_dense_equivalent_ratios`], the dynamic
+//!   engine's builder): from the first ring with `B ≤ τ/2` on, whenever
+//!   `B` has at least halved since the last check, ask
+//!   `rayfade_sinr::sparse::truncation_decided` whether the examined
+//!   entries settle the *whole* row's truncation — the same kept set
+//!   whether the unexamined log-mass is 0 or `B`, up to a float margin
+//!   (so the first kept mass exceeds `B` and every unexamined entry sorts
+//!   before it) — with `B` widened to cover rounding. A decided row stops with
+//!   `B` (plus the margin) reserved. A row that has examined half the
+//!   senders without deciding examines the rest at once, grid row by grid
+//!   row ([`SpatialGrid::for_each_range_outside`], far fewer ranges than
+//!   the remaining rings), and is then the dense row itself; so is a row
+//!   that never decides. Either way the retained
+//!   pairs, every `ρ`, noise and signal equal
+//!   `SparseInterferenceRatios::from_gain` of the dense gains bit for
+//!   bit; only `τᵢ` differs, between the exact dropped mass and `τ`
+//!   (DESIGN.md §4b has the proof).
+//!
 //! How far the rings must expand depends strongly on `α`: the tail
 //! log-mass beyond radius `R` of a constant-density deployment scales
 //! like `R^{2−α}`, so truncation only pays off for `α > 2` and the
@@ -42,12 +65,14 @@
 //! for the derivation and measured crossovers).
 
 use crate::grid::SpatialGrid;
-use rayfade_geometry::{LinkGeometry, Network};
-use rayfade_sinr::sparse::RowHead;
+use rayfade_geometry::{LinkGeometry, Network, Point};
+use rayfade_sinr::sparse::{truncation_decided, RowHead};
 use rayfade_sinr::{
     kahan_sum, truncation_budget, PowerAssignment, SinrParams, SparseInterferenceRatios,
 };
 use rayfade_telemetry::{trace, Telemetry};
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Build statistics of one [`build_sparse_ratios`] run, also exported as
 /// telemetry counters.
@@ -62,6 +87,8 @@ pub struct SparseBuildStats {
     pub truncated: u64,
     /// Largest per-receiver certificate `max_i τᵢ`.
     pub tau_max: f64,
+    /// Receivers whose sweep examined every sender.
+    pub full_scans: u64,
 }
 
 /// Builds certified ε-truncated sparse ratios from geometry with an
@@ -95,7 +122,7 @@ pub fn build_sparse_ratios_with_cell(
     cell: f64,
     tele: Option<&Telemetry>,
 ) -> SparseInterferenceRatios {
-    build_inner(network, power, params, delta, cell, tele).0
+    build_inner(network, power, params, delta, cell, false, tele).0
 }
 
 /// [`build_sparse_ratios`] returning the build statistics alongside the
@@ -107,7 +134,44 @@ pub fn build_sparse_ratios_stats(
     delta: f64,
     tele: Option<&Telemetry>,
 ) -> (SparseInterferenceRatios, SparseBuildStats) {
-    build_inner(network, power, params, delta, default_cell(network), tele)
+    build_inner(
+        network,
+        power,
+        params,
+        delta,
+        default_cell(network),
+        false,
+        tele,
+    )
+}
+
+/// Builds the ε-truncated cache that
+/// `SparseInterferenceRatios::from_gain(&GainMatrix::from_geometry(..), params, delta)`
+/// builds, in near-linear time for `α > 2`, with its build statistics.
+///
+/// The sweep runs the *dense-equivalent* stop rule (see the
+/// [module docs](self)): retained pairs, every `ρ`, noise factor and own
+/// signal equal the dense-built cache's bit for bit, and each
+/// certificate `τᵢ` lies between the dense cache's exact dropped mass and
+/// `τ = −ln(1−δ)`.
+///
+/// # Panics
+/// As [`build_sparse_ratios`].
+pub fn build_dense_equivalent_ratios(
+    network: &Network,
+    power: &PowerAssignment,
+    params: &SinrParams,
+    delta: f64,
+) -> (SparseInterferenceRatios, SparseBuildStats) {
+    build_inner(
+        network,
+        power,
+        params,
+        delta,
+        default_cell(network),
+        true,
+        None,
+    )
 }
 
 /// Default cell size: bounding-box side over `√n` (≈ one sender per cell
@@ -124,12 +188,15 @@ fn default_cell(network: &Network) -> f64 {
     }
 }
 
+/// The sweep with the certified (`dense_equivalent = false`) or the
+/// dense-equivalent stop rule.
 fn build_inner(
     network: &Network,
     power: &PowerAssignment,
     params: &SinrParams,
     delta: f64,
     cell: f64,
+    dense_equivalent: bool,
     tele: Option<&Telemetry>,
 ) -> (SparseInterferenceRatios, SparseBuildStats) {
     let tau_budget = truncation_budget(delta);
@@ -152,19 +219,23 @@ fn build_inner(
         powers,
         params,
         tau_budget,
+        dense_equivalent,
+        coord_slack: SLACK * (coordinate_scale(network) + cell),
+        full_scans: AtomicU64::new(0),
     };
     let (ratios, counts) = SparseInterferenceRatios::from_row_kernel(
         n,
         params.beta,
         delta,
-        || (),
-        |i, (), entries| sweep.row(i, entries),
+        Vec::new,
+        |i, bits, entries| sweep.row(i, entries, bits),
     );
     let stats = SparseBuildStats {
         examined: counts.examined,
         retained: ratios.nnz() as u64,
         truncated: counts.truncated,
         tau_max: ratios.tau_max(),
+        full_scans: sweep.full_scans.into_inner(),
     };
     if let Some(t) = tele {
         let reg = t.registry();
@@ -196,6 +267,21 @@ fn build_inner(
     (ratios, stats)
 }
 
+/// Relative slack, 2⁻⁴⁰, by which the dense-equivalent stop rule widens
+/// its exterior bounds: far above the few dozen roundings (times `α`)
+/// between the coordinates and a stored ratio.
+const SLACK: f64 = 1.0 / (1u64 << 40) as f64;
+
+/// Largest coordinate magnitude of any link endpoint (0 for an empty
+/// network).
+fn coordinate_scale(network: &Network) -> f64 {
+    network.bounding_box().map_or(0.0, |b| {
+        [b.lo.x, b.lo.y, b.hi.x, b.hi.y]
+            .iter()
+            .fold(0.0f64, |m, v| m.max(v.abs()))
+    })
+}
+
 /// What every receiver's ring sweep shares.
 struct Sweep<'a> {
     network: &'a Network,
@@ -208,13 +294,23 @@ struct Sweep<'a> {
     p_max: f64,
     params: &'a SinrParams,
     tau_budget: f64,
+    /// Whether rows stop by the dense-equivalent rule.
+    dense_equivalent: bool,
+    /// Absolute slack on a computed exterior distance: covers the
+    /// rounding of cell assignment and cell bounds at the grid's
+    /// coordinate scale.
+    coord_slack: f64,
+    /// Rows that examined every sender.
+    full_scans: AtomicU64,
 }
 
 impl Sweep<'_> {
     /// Sweeps receiver `i`'s rings until the lumped exterior bound drops
-    /// below `τ/2`, pushing every examined nonzero ratio; the bound
-    /// becomes the row's reserved log-mass.
-    fn row(&self, i: usize, entries: &mut Vec<(u32, f64)>) -> RowHead {
+    /// below `τ/2` — and, by the dense-equivalent rule, on until the
+    /// examined entries decide the whole row's truncation, or past half
+    /// the senders straight to a full scan — pushing every examined
+    /// nonzero ratio; the bound becomes the row's reserved log-mass.
+    fn row(&self, i: usize, entries: &mut Vec<(u32, f64)>, bits: &mut Vec<u64>) -> RowHead {
         let (beta, alpha) = (self.params.beta, self.params.alpha);
         let (grid, n) = (self.grid, self.network.len());
         // Own signal with arithmetic bit-equal to `GainMatrix::from_geometry`.
@@ -239,34 +335,19 @@ impl Sweep<'_> {
         let (cx, cy) = grid.cell_of(&receiver);
         let mut examined_power = 0.0f64;
         let mut examined_count = 0usize;
+        // The bound at the last decision check: rechecking only once it
+        // has halved keeps the checks of a row that ends in a full scan
+        // few.
+        let mut checked = f64::INFINITY;
         let exterior; // certified bound on unexamined log-mass, set at loop exit
         let mut m = 0usize;
         loop {
             grid.for_each_range_in_ring(cx, cy, m, |range| {
                 examined_count += range.len();
-                let items = &grid.items()[range.clone()];
-                let senders = &grid.senders()[range.clone()];
-                for ((&j, sender), &p_j) in items.iter().zip(senders).zip(&self.item_powers[range])
-                {
-                    examined_power += p_j;
-                    if j as usize == i {
-                        continue;
-                    }
-                    let d = sender.distance(&receiver);
-                    assert!(d > 0.0, "cross distance d(s_{j}, r_{i}) must be positive");
-                    let s_ji = p_j / d.powf(alpha);
-                    assert!(s_ji.is_finite(), "gain S({j},{i}) must be finite");
-                    if s_ji == 0.0 {
-                        continue;
-                    }
-                    // Same guarded form as the dense cache.
-                    let r = beta / (beta + s_ii / s_ji);
-                    if r > 0.0 {
-                        entries.push((j, r));
-                    }
-                }
+                self.examine(i, s_ii, &receiver, range, &mut examined_power, entries);
             });
             if examined_count == n {
+                self.full_scans.fetch_add(1, Ordering::Relaxed);
                 exterior = 0.0;
                 break;
             }
@@ -292,12 +373,35 @@ impl Sweep<'_> {
                             };
                             let bound = kfac * beta * p_rem / denom;
                             if bound <= 0.5 * self.tau_budget {
-                                exterior = bound;
-                                break;
+                                if !self.dense_equivalent {
+                                    exterior = bound;
+                                    break;
+                                }
+                                if bound <= 0.5 * checked {
+                                    checked = bound;
+                                    let decided =
+                                        self.decide(s_ii, d_min, examined_power, entries, bits);
+                                    if let Some(reserved) = decided {
+                                        exterior = reserved;
+                                        break;
+                                    }
+                                }
                             }
                         }
                     }
                 }
+            }
+            // Undecided past half the senders: the row is all but a full
+            // scan, and the remaining rings cost many short ranges.
+            if self.dense_equivalent && 2 * examined_count >= n {
+                grid.for_each_range_outside(cx, cy, m, |range| {
+                    examined_count += range.len();
+                    self.examine(i, s_ii, &receiver, range, &mut examined_power, entries);
+                });
+                debug_assert_eq!(examined_count, n);
+                self.full_scans.fetch_add(1, Ordering::Relaxed);
+                exterior = 0.0;
+                break;
             }
             m += 1;
         }
@@ -307,6 +411,77 @@ impl Sweep<'_> {
             reserved: exterior,
             examined: examined_count.saturating_sub(1) as u64, // own sender is not a pair
         }
+    }
+
+    /// Examines the senders at grid positions `range` for receiver `i`:
+    /// adds their powers to `power` one at a time (the visit order fixes
+    /// the bits of the exterior bound) and pushes every nonzero ratio,
+    /// with the dense cache's arithmetic.
+    #[inline]
+    fn examine(
+        &self,
+        i: usize,
+        s_ii: f64,
+        receiver: &Point,
+        range: Range<usize>,
+        power: &mut f64,
+        entries: &mut Vec<(u32, f64)>,
+    ) {
+        let (beta, alpha) = (self.params.beta, self.params.alpha);
+        let items = &self.grid.items()[range.clone()];
+        let senders = &self.grid.senders()[range.clone()];
+        for ((&j, sender), &p_j) in items.iter().zip(senders).zip(&self.item_powers[range]) {
+            *power += p_j;
+            if j as usize == i {
+                continue;
+            }
+            let d = sender.distance(receiver);
+            assert!(d > 0.0, "cross distance d(s_{j}, r_{i}) must be positive");
+            let s_ji = p_j / d.powf(alpha);
+            assert!(s_ji.is_finite(), "gain S({j},{i}) must be finite");
+            if s_ji == 0.0 {
+                continue;
+            }
+            // Same guarded form as the dense cache.
+            let r = beta / (beta + s_ii / s_ji);
+            if r > 0.0 {
+                entries.push((j, r));
+            }
+        }
+    }
+
+    /// The dense-equivalent rule's check after a ring: widens the
+    /// exterior bound to cover every rounding between the coordinates
+    /// and the stored masses (the distance by `coord_slack`, the
+    /// unexamined power by its summation error, ratio bound and log-mass
+    /// by [`SLACK`]) and asks [`truncation_decided`] whether the examined
+    /// entries settle the whole row. Returns the row's reserved log-mass.
+    fn decide(
+        &self,
+        s_ii: f64,
+        d_min: f64,
+        examined_power: f64,
+        entries: &[(u32, f64)],
+        bits: &mut Vec<u64>,
+    ) -> Option<f64> {
+        let (beta, alpha) = (self.params.beta, self.params.alpha);
+        let n = self.network.len();
+        let d_lo = d_min - self.coord_slack;
+        if d_lo <= 0.0 {
+            return None;
+        }
+        let denom = s_ii * d_lo.powf(alpha);
+        let x = beta * self.p_max / denom;
+        let rho_bar = x / (x + 1.0) * (1.0 + SLACK);
+        if rho_bar.is_nan() || rho_bar <= 0.0 || rho_bar >= 1.0 {
+            return None;
+        }
+        let kfac = -(-rho_bar).ln_1p() / rho_bar;
+        // Both power sums carry at most (n + 2)·2⁻⁵³ of the total in error.
+        let p_rem = (self.total_power - examined_power).max(0.0)
+            + (n + 4) as f64 * f64::EPSILON * self.total_power;
+        let exterior = kfac * beta * p_rem / denom * (1.0 + SLACK);
+        truncation_decided(entries, self.tau_budget, exterior, rho_bar, n, bits)
     }
 }
 
@@ -416,7 +591,15 @@ mod tests {
         let power = PowerAssignment::figure1_uniform();
         let params = SinrParams::new(4.0, 2.5, 4e-7);
         let (_, stats) = {
-            let (r, s) = build_inner(&net, &power, &params, 0.1, default_cell(&net), Some(&tele));
+            let (r, s) = build_inner(
+                &net,
+                &power,
+                &params,
+                0.1,
+                default_cell(&net),
+                false,
+                Some(&tele),
+            );
             (r, s)
         };
         tele.flush();

@@ -7,8 +7,10 @@
 //! run of positions. The index answers three kinds of questions:
 //!
 //! * membership — which senders fall in a given cell
-//!   ([`SpatialGrid::in_cell`]) or Chebyshev ring of cells, as contiguous
-//!   position ranges ([`SpatialGrid::for_each_range_in_ring`]),
+//!   ([`SpatialGrid::in_cell`]), in a Chebyshev ring of cells or outside
+//!   a block of them, as contiguous position ranges
+//!   ([`SpatialGrid::for_each_range_in_ring`],
+//!   [`SpatialGrid::for_each_range_outside`]),
 //! * proximity — all senders within a radius
 //!   ([`SpatialGrid::radius_indices`]) or the k nearest senders
 //!   ([`SpatialGrid::k_nearest`]), and
@@ -212,6 +214,34 @@ impl SpatialGrid {
             segment(y, cx + m, cx + m);
         }
         segment(cy + m, cx - m, cx + m);
+    }
+
+    /// Calls `f` with position ranges that together hold exactly the
+    /// senders *outside* the block of cells `[cx−m, cx+m] × [cy−m, cy+m]`
+    /// — everything the rings `0..=m` around `(cx, cy)` did not visit:
+    /// grid rows bottom to top, each as the part left of the block and
+    /// the part right of it (the whole row when the block misses it).
+    /// Ranges may be empty.
+    pub fn for_each_range_outside<F: FnMut(Range<usize>)>(
+        &self,
+        cx: usize,
+        cy: usize,
+        m: usize,
+        mut f: F,
+    ) {
+        let last = self.nx - 1;
+        for y in 0..self.ny {
+            if y + m < cy || y > cy + m {
+                f(self.row_segment(y, 0, last));
+                continue;
+            }
+            if cx > m {
+                f(self.row_segment(y, 0, cx - m - 1));
+            }
+            if cx + m < last {
+                f(self.row_segment(y, cx + m + 1, last));
+            }
+        }
     }
 
     /// Lower bound on the distance from `p` to any indexed sender

@@ -23,6 +23,10 @@
 //!   remaining budget. The retained ratios are bit-equal to the dense
 //!   cache; the dropped mass is certified per receiver (see
 //!   `rayfade_sinr::sparse` for the interval semantics).
+//!   [`build_dense_equivalent_ratios`] sweeps on until the examined
+//!   senders provably decide the dense truncation, and so rebuilds the
+//!   dense-built cache's rows bit for bit (the dynamic engine's cache at
+//!   scale).
 //!
 //! The crate sits between `rayfade-geometry`/`rayfade-sinr` and
 //! `rayfade-core` (whose `NetworkEvaluator` facade routes large instances
@@ -36,6 +40,7 @@ pub mod builder;
 pub mod grid;
 
 pub use builder::{
-    build_sparse_ratios, build_sparse_ratios_stats, build_sparse_ratios_with_cell, SparseBuildStats,
+    build_dense_equivalent_ratios, build_sparse_ratios, build_sparse_ratios_stats,
+    build_sparse_ratios_with_cell, SparseBuildStats,
 };
 pub use grid::SpatialGrid;

@@ -1,6 +1,6 @@
 //! The position-range ring visitor against a cell-by-cell reference
-//! visit, and the item-ordered queries against brute force, on random
-//! networks.
+//! visit, the outside-the-block visitor against the later rings, and the
+//! item-ordered queries against brute force, on random networks.
 //!
 //! Networks mix a uniform scatter with tight clusters, so grids have
 //! empty and crowded cells; query points are drawn beyond the endpoint
@@ -85,17 +85,30 @@ proptest! {
         for &(x, y) in &queries {
             let p = Point::new(x, y);
             let (cx, cy) = grid.cell_of(&p);
-            let mut m = 0;
+            let mut rings = Vec::new();
             loop {
+                let m = rings.len();
+                let ring = range_links(&grid, &net, cx, cy, m);
                 prop_assert_eq!(
-                    range_links(&grid, &net, cx, cy, m),
-                    ring_links(&grid, cx, cy, m),
+                    &ring,
+                    &ring_links(&grid, cx, cy, m),
                     "ring {} around cell ({}, {})", m, cx, cy
                 );
+                rings.push(ring);
                 if grid.exterior_distance(&p, cx, cy, m).is_none() {
                     break;
                 }
-                m += 1;
+            }
+            // Outside the block of rings 0..=m: exactly the later rings.
+            for m in 0..rings.len() {
+                let mut outside = Vec::new();
+                grid.for_each_range_outside(cx, cy, m, |range| {
+                    outside.extend_from_slice(&grid.items()[range]);
+                });
+                outside.sort_unstable();
+                let mut later = rings[m + 1..].concat();
+                later.sort_unstable();
+                prop_assert_eq!(outside, later, "outside ring {} around cell ({}, {})", m, cx, cy);
             }
         }
     }
